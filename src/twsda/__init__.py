@@ -15,7 +15,6 @@ from .analysis import (
     is_complete_binary,
     is_fibonacci_tree,
     l_equivalent,
-    machine_oracle,
     machines_agree,
 )
 from .builders import (
@@ -79,8 +78,6 @@ from .tree import (
     NodeType,
     PathAbsent,
     WellFormednessViolation,
-    apply_action,
-    node_type,
     push,
 )
 

@@ -6,6 +6,7 @@ enters any reported value.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -234,7 +235,7 @@ class _PrefixWalker:
             return
         target, action = hit
         try:
-            new_node, record = self.tree.apply_undoable(node, action)
+            new_node, record = self.tree.apply(node, action)
         except WellFormednessViolation:
             self.dead = 1  # an aborted run also rejects every extension
             return
@@ -272,21 +273,55 @@ class _PrefixWalker:
         return target in self.accepting and action_is_legal(node, action)
 
 
-def _require_char_symbols(machine: Machine) -> None:
-    if any(len(s) != 1 for s in machine.input_alphabet):
-        raise ValueError("prefix enumeration expects single-character symbols")
+class _RerunWalker:
+    """Stand-in for `_PrefixWalker` on machines with λ moves.
+
+    Each word is run from scratch under `run_budget`.  It never reports
+    the machine dead, so no subtree is skipped.
+    """
+
+    __slots__ = ("machine", "run_budget", "word")
+    dead = 0
+
+    def __init__(self, machine: Machine, run_budget: int | float | None):
+        self.machine = machine
+        self.run_budget = run_budget
+        self.word: list[str] = []
+
+    def push(self, sym: str) -> None:
+        self.word.append(sym)
+
+    def pop(self) -> None:
+        self.word.pop()
+
+    def accepts_now(self) -> bool:
+        return run(self.machine, self.word, budget=self.run_budget).accepted
 
 
-def _prefix_dfs(symbols, max_len, push, pop, visit):
+def _walker(machine: Machine, run_budget: int | float | None):
+    if machine.real_time:
+        return _PrefixWalker(machine)
+    return _RerunWalker(machine, run_budget)
+
+
+def _prefix_dfs(symbols, max_len, budget, push, pop, visit):
     """Depth-first walk over all words up to `max_len`, with backtracking.
 
     `visit(word)` runs once per word, in length-then-lexicographic order
     along each branch, and returns whether the subtree below the word
     should be explored; `push`/`pop` advance and retreat the caller's
-    machine state by one symbol.
+    machine state by one symbol.  `budget` caps the number of words
+    visited (None for no cap); the first word past it raises
+    BudgetExceeded.
     """
+    if any(len(s) != 1 for s in symbols):
+        raise ValueError("prefix enumeration expects single-character symbols")
+    budget = math.inf if budget is None else budget
+    if budget < 1:
+        raise BudgetExceeded(f"visited more than {budget} prefixes")
     if not visit("") or max_len == 0:
         return
+    visited = 1
     word: list[str] = []
     iterators = [iter(symbols)]
     while iterators:
@@ -299,6 +334,9 @@ def _prefix_dfs(symbols, max_len, push, pop, visit):
             continue
         push(sym)
         word.append(sym)
+        visited += 1
+        if visited > budget:
+            raise BudgetExceeded(f"visited more than {budget} prefixes")
         if visit("".join(word)) and len(word) < max_len:
             iterators.append(iter(symbols))
         else:
@@ -321,50 +359,27 @@ def cross_check(
     every extension) and the oracle's `viable_prefix` says no extension is
     ever a member; the two sides are then guaranteed to agree on the whole
     subtree.  `budget` caps the number of prefixes visited.  Machines with
-    λ moves are checked word by word and need `run_budget`.
+    λ moves are run word by word, in the same order, and need
+    `run_budget`.  Mismatches come in the order of the walk.
     """
     if sorted(machine.input_alphabet) != sorted(oracle.alphabet):
         raise ValueError(
             f"alphabets differ: machine {sorted(machine.input_alphabet)}, "
             f"oracle {sorted(oracle.alphabet)}"
         )
-    _require_char_symbols(machine)
-    symbols = sorted(machine.input_alphabet)
-    if not machine.real_time:
-        member = oracle.membership
-        mismatches = []
-        for visited, word in enumerate(_all_words(symbols, max_len)):
-            if budget is not None and visited >= budget:
-                raise BudgetExceeded(f"visited more than {budget} words")
-            got = run(machine, word, budget=run_budget).accepted
-            if got != member(word):
-                mismatches.append(Mismatch(word, got, member(word)))
-        return mismatches
-    walker = _PrefixWalker(machine)
+    walker = _walker(machine, run_budget)
     viable = oracle.viable_prefix
     member = oracle.membership
     mismatches: list[Mismatch] = []
-    visited = 0
 
     def visit(word: str) -> bool:
-        nonlocal visited
-        visited += 1
-        if budget is not None and visited > budget:
-            raise BudgetExceeded(f"visited more than {budget} prefixes")
         machine_accepts = walker.accepts_now()
         if machine_accepts != member(word):
             mismatches.append(Mismatch(word, machine_accepts, member(word)))
         return not (walker.dead and viable is not None and not viable(word))
 
-    _prefix_dfs(symbols, max_len, walker.push, walker.pop, visit)
+    _prefix_dfs(sorted(machine.input_alphabet), max_len, budget, walker.push, walker.pop, visit)
     return mismatches
-
-
-def _all_words(symbols: Sequence[str], max_len: int):
-    yield ""
-    for length in range(1, max_len + 1):
-        for parts in itertools.product(symbols, repeat=length):
-            yield "".join(parts)
 
 
 def enumerate_accepted(
@@ -379,30 +394,15 @@ def enumerate_accepted(
     `budget` caps the number of prefixes visited.  Machines with λ moves
     are run word by word and need `run_budget`.
     """
-    _require_char_symbols(machine)
-    symbols = sorted(machine.input_alphabet)
-    if not machine.real_time:
-        accepted = []
-        for visited, word in enumerate(_all_words(symbols, max_len)):
-            if budget is not None and visited >= budget:
-                raise BudgetExceeded(f"visited more than {budget} words")
-            if run(machine, word, budget=run_budget).accepted:
-                accepted.append(word)
-        return accepted
-    walker = _PrefixWalker(machine)
+    walker = _walker(machine, run_budget)
     accepted: list[str] = []
-    visited = 0
 
     def visit(word: str) -> bool:
-        nonlocal visited
-        visited += 1
-        if budget is not None and visited > budget:
-            raise BudgetExceeded(f"visited more than {budget} prefixes")
         if walker.accepts_now():
             accepted.append(word)
         return not walker.dead
 
-    _prefix_dfs(symbols, max_len, walker.push, walker.pop, visit)
+    _prefix_dfs(sorted(machine.input_alphabet), max_len, budget, walker.push, walker.pop, visit)
     accepted.sort(key=lambda w: (len(w), w))
     return accepted
 
@@ -417,11 +417,8 @@ def machines_agree(
     """
     if sorted(first.input_alphabet) != sorted(second.input_alphabet):
         raise ValueError("machines have different alphabets")
-    _require_char_symbols(first)
-    symbols = sorted(first.input_alphabet)
     a, b = _PrefixWalker(first), _PrefixWalker(second)
     differ: list[str] = []
-    visited = 0
 
     def push(sym: str) -> None:
         a.push(sym)
@@ -432,22 +429,9 @@ def machines_agree(
         b.pop()
 
     def visit(word: str) -> bool:
-        nonlocal visited
-        visited += 1
-        if budget is not None and visited > budget:
-            raise BudgetExceeded(f"visited more than {budget} prefixes")
         if a.accepts_now() != b.accepts_now():
             differ.append(word)
         return not (a.dead and b.dead)
 
-    _prefix_dfs(symbols, max_len, push, pop, visit)
+    _prefix_dfs(sorted(first.input_alphabet), max_len, budget, push, pop, visit)
     return differ
-
-
-def machine_oracle(machine: Machine, budget=None) -> LanguageOracle:
-    """Wrap a machine as a membership predicate (one fresh run per word)."""
-
-    def member(word: str) -> bool:
-        return run(machine, word, budget=budget).accepted
-
-    return LanguageOracle(machine.name, tuple(machine.input_alphabet), member)

@@ -1,7 +1,7 @@
 """Closure operations on machines: complement, regular intersection, quotient."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .machine import (
@@ -194,7 +194,8 @@ def left_quotient(machine: Machine, prefix: Sequence[str], budget=None) -> Machi
         steps += 1
 
     shown = "".join(prefix) if all(len(s) == 1 for s in prefix) else "|".join(prefix)
-    result = machine.replace(
+    result = replace(
+        machine,
         name=f"{machine.name}-after-{shown or 'λ'}",
         start=config.state,
         initial_tree=config.tree,

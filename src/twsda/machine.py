@@ -115,7 +115,7 @@ class Machine:
     Immutable after construction; safe to share across concurrent runs.
     `initial_tree`/`initial_pointer` override the default single-root
     starting storage (used by the left-quotient combinator); runs always
-    clone the initial tree.
+    clone the initial tree.  Variants are made with `dataclasses.replace`.
     """
 
     name: str
@@ -129,23 +129,6 @@ class Machine:
     non_erasing: bool
     initial_tree: GammaTree | None = None
     initial_pointer: str = ""
-
-    def replace(self, **changes) -> "Machine":
-        fields = {
-            "name": self.name,
-            "states": self.states,
-            "input_alphabet": self.input_alphabet,
-            "tree_alphabet": self.tree_alphabet,
-            "transitions": self.transitions,
-            "start": self.start,
-            "accepting": self.accepting,
-            "real_time": self.real_time,
-            "non_erasing": self.non_erasing,
-            "initial_tree": self.initial_tree,
-            "initial_pointer": self.initial_pointer,
-        }
-        fields.update(changes)
-        return Machine(**fields)
 
 
 def machine_from_rows(

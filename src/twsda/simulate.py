@@ -62,11 +62,11 @@ class RunOutcome:
 class Configuration:
     """One run's mutable state.  Owned by a single run; never shared.
 
-    The pointer is both a direct node reference and a path kept as a list
-    of 'l'/'r' steps, so untraced runs cost O(1) per step.
+    The pointer is a direct node reference, so a step costs O(1); its path
+    is computed from the node only when asked for.
     """
 
-    __slots__ = ("state", "word", "pos", "tree", "node", "_path")
+    __slots__ = ("state", "word", "pos", "tree", "node")
 
     def __init__(self, machine: Machine, word: Sequence[str]):
         self.state = machine.start
@@ -75,15 +75,13 @@ class Configuration:
         if machine.initial_tree is not None:
             self.tree = machine.initial_tree.clone()
             self.node = self.tree.node_at(machine.initial_pointer)
-            self._path = list(machine.initial_pointer)
         else:
             self.tree = GammaTree()
             self.node = self.tree.root
-            self._path = []
 
     @property
     def path(self) -> str:
-        return "".join(self._path)
+        return self.node.path()
 
     def head(self) -> str | None:
         """Next unread symbol: a word symbol, then END, then nothing."""
@@ -134,17 +132,7 @@ def _advance(machine: Machine, config: Configuration):
     if found is None:
         return None
     consumed, target, action = found
-    node = config.tree.apply(config.node, action)
-    kind = action[0]
-    if kind in ("up", "pop"):
-        config._path.pop()
-    elif kind == "down-l":
-        config._path.append("l")
-    elif kind == "down-r":
-        config._path.append("r")
-    elif kind == "push":
-        config._path.append(action[2])
-    config.node = node
+    config.node = config.tree.apply(config.node, action)[0]
     config.state = target
     if consumed != LAMBDA:
         config.pos += 1
@@ -160,6 +148,59 @@ def step(machine: Machine, config: Configuration) -> Configuration | None:
     return config if _advance(machine, config) is not None else None
 
 
+def _run(machine: Machine, word: Sequence[str], budget, trace: list | None):
+    """The run loop behind `run` and `final_tree`.
+
+    Returns the verdict, the configuration the run stopped in, and the
+    number of steps taken; appends one StepRecord per step to `trace` when
+    it is a list.
+    """
+    for sym in word:
+        if sym == END or sym == LAMBDA:
+            raise EndmarkerInInput(f"input word may not contain {sym!r}")
+        if sym not in machine.input_alphabet:
+            raise ValueError(f"symbol {sym!r} not in the input alphabet")
+    if budget is None:
+        if not machine.real_time:
+            raise BudgetRequired("machine is not real-time: pass an explicit step budget")
+        budget = len(word) + 1
+    elif budget is not math.inf and budget < 1:
+        raise ValueError("budget must be a positive number of steps")
+
+    config = Configuration(machine, word)
+    pointer = machine.initial_pointer
+    steps = 0
+    while True:
+        if steps >= budget:
+            # Halting still beats the budget: only a machine that would
+            # keep moving counts as cut off.
+            if _lookup(machine, config) is None:
+                break
+            return Verdict.BUDGET_EXHAUSTED, config, steps
+        state_before = config.state
+        try:
+            moved = _advance(machine, config)
+        except WellFormednessViolation:
+            return Verdict.WELL_FORMEDNESS_VIOLATION, config, steps
+        if moved is None:
+            break
+        steps += 1
+        if trace is not None:
+            consumed, action = moved
+            kind = action[0]
+            if kind == "up" or kind == "pop":
+                pointer = pointer[:-1]
+            elif kind == "push":
+                pointer += action[2]
+            elif kind != "stay":  # down-l, down-r
+                pointer += kind[-1]
+            trace.append(
+                StepRecord(steps - 1, state_before, consumed, action, pointer, config.tree.size)
+            )
+    accepted = config.input_fully_consumed() and config.state in machine.accepting
+    return (Verdict.ACCEPTED if accepted else Verdict.REJECTED), config, steps
+
+
 def run(
     machine: Machine,
     word: Sequence[str],
@@ -173,75 +214,21 @@ def run(
     not guaranteed to halt, so for them the budget must be given (math.inf
     is accepted at the caller's own risk).
     """
-    for sym in word:
-        if sym == END or sym == LAMBDA:
-            raise EndmarkerInInput(f"input word may not contain {sym!r}")
-        if sym not in machine.input_alphabet:
-            raise ValueError(f"symbol {sym!r} not in the input alphabet")
-    if budget is None:
-        if not machine.real_time:
-            raise BudgetRequired(
-                "machine is not real-time: pass an explicit step budget"
-            )
-        budget = len(word) + 1
-    elif budget is not math.inf and budget < 1:
-        raise ValueError("budget must be a positive number of steps")
-
-    config = Configuration(machine, word)
     trace: list[StepRecord] | None = [] if traced else None
-    steps = 0
-
-    def outcome(verdict: Verdict) -> RunOutcome:
-        return RunOutcome(
-            verdict,
-            config.state,
-            steps,
-            config.input_fully_consumed(),
-            tuple(trace) if traced else None,
-        )
-
-    while True:
-        if steps >= budget:
-            # Halting still beats the budget: only a machine that would
-            # keep moving counts as cut off.
-            if _lookup(machine, config) is None:
-                break
-            return outcome(Verdict.BUDGET_EXHAUSTED)
-        state_before = config.state
-        try:
-            moved = _advance(machine, config)
-        except WellFormednessViolation:
-            return outcome(Verdict.WELL_FORMEDNESS_VIOLATION)
-        if moved is None:
-            break
-        steps += 1
-        if traced:
-            consumed_sym, action = moved
-            trace.append(
-                StepRecord(
-                    steps - 1,
-                    state_before,
-                    consumed_sym,
-                    action,
-                    config.path,
-                    config.tree.size,
-                )
-            )
-    accepted = config.input_fully_consumed() and config.state in machine.accepting
-    return outcome(Verdict.ACCEPTED if accepted else Verdict.REJECTED)
+    verdict, config, steps = _run(machine, word, budget, trace)
+    return RunOutcome(
+        verdict, config.state, steps, config.input_fully_consumed(),
+        tuple(trace) if traced else None,
+    )
 
 
 def final_tree(machine: Machine, word: Sequence[str], budget=None) -> GammaTree:
-    """Convenience: the storage tree at the moment the run halts."""
-    for sym in word:
-        if sym == END or sym == LAMBDA:
-            raise EndmarkerInInput(f"input word may not contain {sym!r}")
-    if budget is None:
-        if not machine.real_time:
-            raise BudgetRequired("machine is not real-time: pass an explicit step budget")
-        budget = len(word) + 1
-    config = Configuration(machine, word)
-    steps = 0
-    while steps < budget and step(machine, config) is not None:
-        steps += 1
-    return config.tree
+    """The storage tree at the moment the run stops, whatever the verdict.
+
+    The run is the one `run` makes, so the same arguments are refused: a
+    symbol outside the input alphabet or a budget below 1 raises
+    ValueError.  A run cut off by its budget or aborted by an illegal
+    action yields the tree as it stood then; the illegal action itself
+    changes nothing.
+    """
+    return _run(machine, word, budget, None)[1].tree

@@ -138,9 +138,6 @@ class GammaTree:
     def label_at(self, path: str) -> str:
         return self.node_at(path).label
 
-    def node_type_at(self, path: str) -> NodeType:
-        return self.node_at(path).node_type()
-
     def paths(self) -> list[str]:
         """All node paths, shortest first, 'l' before 'r'."""
         out = []
@@ -155,22 +152,16 @@ class GammaTree:
         out.sort(key=lambda p: (len(p), p))
         return out
 
-    def as_mapping(self) -> dict[str, str]:
-        return {p: self.node_at(p).label for p in self.paths()}
-
     # -- mutation ----------------------------------------------------------
 
-    def apply(self, node: TreeNode, action: tuple) -> TreeNode:
-        """Apply `action` at `node`, returning the new pointer node.
+    def apply(self, node: TreeNode, action: tuple):
+        """Apply `action` at `node`; returns the new pointer node and an
+        undo record for `undo`.
 
         Raises WellFormednessViolation when the node's shape forbids the
         action (moving off the tree, popping a non-leaf or the root,
         pushing over an existing child).
         """
-        return self.apply_undoable(node, action)[0]
-
-    def apply_undoable(self, node: TreeNode, action: tuple):
-        """Like `apply` but also returns an undo record for `undo`."""
         kind = action[0]
         if kind == "stay":
             return node, None
@@ -210,7 +201,7 @@ class GammaTree:
         raise ValueError(f"unknown action {action!r}")
 
     def undo(self, record) -> None:
-        """Revert a structural edit made by `apply_undoable`."""
+        """Revert a structural edit made by `apply`."""
         if record is None:
             return
         kind, node = record
@@ -334,27 +325,3 @@ class GammaTree:
                 assert node.right.side == "r"
                 stack.append(node.right)
         assert count == self.size, f"size {self.size} != actual {count}"
-
-
-def node_type(tree: GammaTree, path: str) -> NodeType:
-    """Type of the node at `path`: rootness/side plus child presence."""
-    return tree.node_at(path).node_type()
-
-
-def apply_action(tree: GammaTree, path: str, action: tuple) -> tuple[GammaTree, str]:
-    """Apply one storage action at `path`; returns the tree and new pointer path."""
-    node = tree.node_at(path)
-    new_node = tree.apply(node, action)
-    kind = action[0]
-    if kind in ("up", "pop"):
-        new_path = path[:-1]
-    elif kind == "down-l":
-        new_path = path + "l"
-    elif kind == "down-r":
-        new_path = path + "r"
-    elif kind == "push":
-        new_path = path + action[2]
-    else:
-        new_path = path
-    assert new_node is tree.node_at(new_path)
-    return tree, new_path

@@ -1,4 +1,5 @@
 """Exact sequences, equivalence classes, shape predicates, cross-checks."""
+import dataclasses
 import math
 
 import pytest
@@ -17,13 +18,13 @@ from twsda.analysis import (
     is_complete_binary,
     is_fibonacci_tree,
     l_equivalent,
-    machine_oracle,
     machines_agree,
 )
 from twsda.builders import build_expo, build_fib, build_trie_p
-from twsda.machine import TransitionRow, machine_from_rows
-from twsda.oracles import ORACLES, lh_class_sample, oracle_expo, oracle_fib
-from twsda.tree import GammaTree, ROOT_LABEL, STAY, UP, apply_action, push
+from twsda.machine import END, LAMBDA, TransitionRow, machine_from_rows
+from twsda.oracles import ORACLES, LanguageOracle, lh_class_sample, oracle_expo, oracle_fib
+from twsda.simulate import BudgetRequired, run
+from twsda.tree import GammaTree, ROOT_LABEL, STAY, UP, push
 
 
 def test_fibonacci_prefix():
@@ -127,7 +128,11 @@ def test_count_classes_below_machine_bound():
     }
     for factory, sample in samples.items():
         machine = factory()
-        oracle = machine_oracle(machine)
+        oracle = LanguageOracle(
+            machine.name,
+            tuple(machine.input_alphabet),
+            lambda word, machine=machine: run(machine, word).accepted,
+        )
         for ell in (1, 2):
             part = count_classes(oracle, sample, ell, machine.input_alphabet)
             bound = class_upper_bound(len(machine.states), len(machine.tree_alphabet), ell)
@@ -137,15 +142,15 @@ def test_count_classes_below_machine_bound():
 def complete_tree(level):
     tree = GammaTree()
 
-    def grow(path, remaining):
+    def grow(node, remaining):
         if remaining == 0:
             return
         for side in ("l", "r"):
-            _, child = apply_action(tree, path, push("x", side))
+            child, _ = tree.apply(node, push("x", side))
             grow(child, remaining - 1)
-            apply_action(tree, child, UP)
+            tree.apply(child, UP)
 
-    grow("", level - 1)
+    grow(tree.root, level - 1)
     return tree
 
 
@@ -218,8 +223,63 @@ def test_enumerate_accepted_length_zero():
 
 
 def test_budget_exceeded():
-    with pytest.raises(BudgetExceeded):
-        cross_check(build_expo(), ORACLES["expo"](), 100, budget=5)
+    expo, oracle = build_expo(), ORACLES["expo"]()
+    expo_lambda = dataclasses.replace(expo, real_time=False)
+    drivers = {
+        "cross_check": lambda n, budget: cross_check(expo, oracle, n, budget=budget),
+        "enumerate_accepted": lambda n, budget: enumerate_accepted(expo, n, budget=budget),
+        "machines_agree": lambda n, budget: machines_agree(expo, expo, n, budget=budget),
+        "cross_check λ": lambda n, budget: cross_check(
+            expo_lambda, oracle, n, budget=budget, run_budget=n + 1
+        ),
+        "enumerate_accepted λ": lambda n, budget: enumerate_accepted(
+            expo_lambda, n, budget=budget, run_budget=n + 1
+        ),
+    }
+    for driver in drivers.values():
+        with pytest.raises(BudgetExceeded):
+            driver(100, 5)
+        # words up to length 5 are the six words λ, a, ..., aaaaa
+        driver(5, 6)
+        for budget in (5, 0):
+            with pytest.raises(BudgetExceeded, match=f"more than {budget} "):
+                driver(5, budget)
+
+
+def ends_in_a(*, lam: bool):
+    """Accepts the words over {a, b} that end in a.
+
+    With `lam`, every symbol step goes through a λ hop, so the machine is
+    not real-time but accepts the same words.
+    """
+    edges = [("q", "a", "p"), ("q", "b", "q"), ("p", "a", "p"), ("p", "b", "q")]
+    rows = [TransitionRow("p", END, "-", "-", "-", ROOT_LABEL, "yes", STAY)]
+    for state, sym, target in edges:
+        via = f"hop-{target}" if lam else target
+        rows.append(TransitionRow(state, sym, "-", "-", "-", ROOT_LABEL, via, STAY))
+        if lam:
+            rows.append(TransitionRow(via, LAMBDA, "-", "-", "-", ROOT_LABEL, target, STAY))
+    return machine_from_rows(
+        "ends-in-a", ("a", "b"), ("x",), "q", ["yes"], rows,
+        real_time=not lam, non_erasing=True,
+    )
+
+
+def test_lambda_machine_checks_follow_the_real_time_walk():
+    real_time, lam = ends_in_a(lam=False), ends_in_a(lam=True)
+    nothing = LanguageOracle("empty", ("a", "b"), lambda w: False)
+    expected = ["a", "aa", "aaa", "aba", "ba", "baa", "bba"]  # depth-first order
+    assert [m.word for m in cross_check(real_time, nothing, 3)] == expected
+    mismatches = cross_check(lam, nothing, 3, run_budget=8)
+    assert [m.word for m in mismatches] == expected
+    assert all(m.machine_accepts and not m.oracle_accepts for m in mismatches)
+    assert enumerate_accepted(lam, 3, run_budget=8) == enumerate_accepted(real_time, 3)
+    assert enumerate_accepted(lam, 3, run_budget=8) == sorted(expected, key=lambda w: (len(w), w))
+    # a word of length n takes 2n+1 steps: a budget of 6 cuts off every
+    # three-letter word, and a run cut off does not accept
+    assert enumerate_accepted(lam, 3, run_budget=6) == ["a", "aa", "ba"]
+    with pytest.raises(BudgetRequired):
+        enumerate_accepted(lam, 3)
 
 
 def test_machines_agree_detects_difference():

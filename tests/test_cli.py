@@ -124,10 +124,8 @@ def test_classes_custom_extensions(tmp_path, capsys):
     assert code == 0 and out.splitlines()[0] == "classes=2"
 
 
-def test_max_steps_required_for_non_real_time(tmp_path, capsys):
-    slow = tmp_path / "slow.twm"
-    slow.write_text(
-        """
+# Accepts every word of a's, with a λ hop after each symbol.
+SLOW = """
 alphabet: a
 tree-symbols: x
 start: q
@@ -137,15 +135,38 @@ nonerasing: true
 trans q a (-,-,-) ROOT -> p stay
 trans p lambda (-,-,-) ROOT -> q stay
 trans q END (-,-,-) ROOT -> done stay
-""",
-        encoding="utf-8",
-    )
+"""
+
+
+def test_max_steps_required_for_non_real_time(tmp_path, capsys):
+    slow = tmp_path / "slow.twm"
+    slow.write_text(SLOW, encoding="utf-8")
     code, _, err = cli(capsys, "run", str(slow), "a")
     assert code == 2 and "--max-steps" in err
     code, out, _ = cli(capsys, "run", str(slow), "a", "--max-steps", "10")
     assert code == 0 and out == "ACCEPT steps=3\n"
     code, out, _ = cli(capsys, "run", str(slow), "aa", "--max-steps", "3")
     assert code == 2 and out.startswith("BUDGET-EXHAUSTED")
+
+
+def test_enum_and_check_with_max_steps(tmp_path, capsys):
+    slow = tmp_path / "slow.twm"
+    slow.write_text(SLOW, encoding="utf-8")
+    for command in (["enum"], ["check", "--oracle", "expo"]):
+        code, _, err = cli(capsys, *command, str(slow), "--max-len", "4")
+        assert code == 2 and "--max-steps" in err
+    code, out, _ = cli(capsys, "enum", str(slow), "--max-len", "4", "--max-steps", "9")
+    assert code == 0 and out == "λ\na\naa\naaa\naaaa\n"
+    # a^2 needs five steps, so a budget of four cuts every longer word off
+    code, out, _ = cli(capsys, "enum", str(slow), "--max-len", "4", "--max-steps", "4")
+    assert code == 0 and out == "λ\na\n"
+    code, out, _ = cli(
+        capsys, "check", str(slow), "--oracle", "expo", "--max-len", "4", "--max-steps", "9"
+    )
+    assert code == 1 and out == (
+        "MISMATCH word=λ machine=ACCEPT oracle=REJECT\n"
+        "MISMATCH word=aaa machine=ACCEPT oracle=REJECT\n"
+    )
 
 
 def test_spaced_word_arguments(capsys):

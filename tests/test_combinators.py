@@ -1,4 +1,6 @@
 """Complement, regular intersection, left quotient."""
+import dataclasses
+
 import pytest
 
 from twsda.analysis import cross_check, machines_agree
@@ -73,7 +75,7 @@ def test_complement_on_larger_alphabet():
 
 
 def test_complement_requires_real_time():
-    m = build_expo().replace(real_time=False)
+    m = dataclasses.replace(build_expo(), real_time=False)
     with pytest.raises(NotRealTime):
         complement(m)
 

@@ -1,15 +1,20 @@
 """Step and run semantics: lookup order, acceptance, budgets, traces."""
 import math
+from pathlib import Path
 
 import pytest
 
+from twsda.builders import build_expo, build_mi_hat, build_trie_p
+from twsda.combinators import left_quotient
 from twsda.machine import END, LAMBDA, TransitionRow, machine_from_rows
+from twsda.machinefile import parse_machine
 from twsda.simulate import (
     BudgetRequired,
     Configuration,
     DeterminismError,
     EndmarkerInInput,
     Verdict,
+    final_tree,
     run,
     step,
 )
@@ -141,3 +146,39 @@ def test_real_time_default_budget_rejects_mid_word_halt():
     out = run(m, "aaa")
     assert out.verdict is Verdict.REJECTED
     assert not out.input_fully_consumed and out.steps_taken == 1
+
+
+@pytest.mark.parametrize(
+    "machine, word",
+    [
+        (build_mi_hat(), "¢ab$ba▶"),
+        (build_trie_p(), "ab$$b$⊳ab"),
+        (left_quotient(build_trie_p(), "ab$"), "$b$⊳ab"),  # starts below the root
+    ],
+)
+def test_trace_pointer_is_the_node_path(machine, word):
+    out = run(machine, word, traced=True)
+    assert out.accepted
+    config = Configuration(machine, word)
+    paths = []
+    while step(machine, config) is not None:
+        paths.append(config.node.path())
+    assert [rec.pointer_after for rec in out.trace] == paths
+
+
+def test_final_tree_is_the_storage_where_the_run_stops():
+    broken = Path(__file__).parent / "broken" / "pointer-violation.twm"
+    aborting = parse_machine(broken.read_text(encoding="utf-8"))
+    assert run(aborting, "a").verdict is Verdict.WELL_FORMEDNESS_VIOLATION
+    assert final_tree(aborting, "a").size == 1
+    expo, word = build_expo(), "a" * 32
+    config = Configuration(expo, word)
+    for budget in range(1, 34):
+        assert step(expo, config) is config
+        if budget < 33:
+            assert run(expo, word, budget=budget).verdict is Verdict.BUDGET_EXHAUSTED
+        assert final_tree(expo, word, budget=budget).snapshot() == config.tree.snapshot()
+    assert final_tree(expo, word).snapshot() == config.tree.snapshot()
+    for word, budget in (("z", None), ("a" + END, None), ("a", 0), ("a", -1)):
+        with pytest.raises(ValueError):
+            final_tree(expo, word, budget=budget)

@@ -14,77 +14,79 @@ from twsda.tree import (
     PathAbsent,
     WellFormednessViolation,
     action_is_legal,
-    apply_action,
-    node_type,
     push,
 )
+
+
+def labels(tree: GammaTree) -> dict[str, str]:
+    return {p: tree.label_at(p) for p in tree.paths()}
 
 
 def test_fresh_tree_is_single_root():
     tree = GammaTree()
     assert tree.size == 1
-    assert tree.as_mapping() == {"": ROOT_LABEL}
-    assert node_type(tree, "") == NodeType("-", "-", "-")
+    assert labels(tree) == {"": ROOT_LABEL}
+    assert tree.root.node_type() == NodeType("-", "-", "-")
 
 
 def test_node_type_of_fresh_left_leaf():
     tree = GammaTree()
-    tree, ptr = apply_action(tree, "", push("x", "l"))
-    assert ptr == "l"
-    assert node_type(tree, "l") == ("l", "-", "-")
-    assert node_type(tree, "") == ("-", "+", "-")
+    node, _ = tree.apply(tree.root, push("x", "l"))
+    assert node.path() == "l"
+    assert tree.node_at("l").node_type() == ("l", "-", "-")
+    assert tree.root.node_type() == ("-", "+", "-")
 
 
 def complete_tree(level: int) -> GammaTree:
     """Build a complete binary tree of the given level by pushes only."""
     tree = GammaTree()
 
-    def grow(path: str, remaining: int):
+    def grow(node, remaining: int):
         if remaining == 0:
             return
         for side in ("l", "r"):
-            _, child = apply_action(tree, path, push("x", side))
+            child, _ = tree.apply(node, push("x", side))
             grow(child, remaining - 1)
-            _, back = apply_action(tree, child, UP)
-            assert back == path
+            back, _ = tree.apply(child, UP)
+            assert back is node
 
-    grow("", level - 1)
+    grow(tree.root, level - 1)
     return tree
 
 
 def test_node_type_complete_level_three():
     tree = complete_tree(3)
     assert tree.size == 7
-    assert node_type(tree, "") == ("-", "+", "+")
-    assert node_type(tree, "lr") == ("r", "-", "-")
+    assert tree.root.node_type() == ("-", "+", "+")
+    assert tree.node_at("lr").node_type() == ("r", "-", "-")
 
 
 def test_stay_changes_nothing():
     tree = GammaTree()
-    before = tree.as_mapping()
-    tree, ptr = apply_action(tree, "", STAY)
-    assert ptr == "" and tree.as_mapping() == before
+    before = labels(tree)
+    node, _ = tree.apply(tree.root, STAY)
+    assert node.path() == "" and labels(tree) == before
 
 
 def test_push_appends_and_descends():
     tree = GammaTree()
-    tree, ptr = apply_action(tree, "", push("x", "r"))
-    assert ptr == "r"
-    assert sorted(tree.as_mapping()) == ["", "r"]
+    node, _ = tree.apply(tree.root, push("x", "r"))
+    assert node.path() == "r"
+    assert sorted(labels(tree)) == ["", "r"]
 
 
 def test_pop_at_root_is_a_violation():
     tree = GammaTree()
     with pytest.raises(WellFormednessViolation):
-        apply_action(tree, "", POP)
+        tree.apply(tree.root, POP)
 
 
 def test_pop_requires_leaf():
     tree = complete_tree(2)
     with pytest.raises(WellFormednessViolation):
-        apply_action(tree, "", POP)
-    tree, ptr = apply_action(tree, "l", POP)
-    assert ptr == "" and tree.size == 2
+        tree.apply(tree.root, POP)
+    node, _ = tree.apply(tree.node_at("l"), POP)
+    assert node.path() == "" and tree.size == 2
 
 
 @pytest.mark.parametrize(
@@ -96,8 +98,9 @@ def test_action_legality_matches_apply(action):
         for path in tree.paths():
             node = tree.node_at(path)
             legal = action_is_legal(node, action)
+            twin = tree.clone()
             try:
-                apply_action(tree.clone(), path, action)
+                twin.apply(twin.node_at(path), action)
                 assert legal
             except WellFormednessViolation:
                 assert not legal
@@ -106,7 +109,7 @@ def test_action_legality_matches_apply(action):
 def test_push_existing_side_is_a_violation():
     tree = complete_tree(2)
     with pytest.raises(WellFormednessViolation):
-        apply_action(tree, "", push("x", "l"))
+        tree.apply(tree.root, push("x", "l"))
 
 
 def test_path_absent():
@@ -119,7 +122,7 @@ def test_snapshot_round_trip():
     tree = complete_tree(3)
     text = tree.snapshot()
     again = GammaTree.from_snapshot(text)
-    assert again.as_mapping() == tree.as_mapping()
+    assert labels(again) == labels(tree)
     assert again.snapshot() == text
 
 
@@ -130,7 +133,7 @@ def test_snapshot_of_root():
 def test_clone_is_independent():
     tree = complete_tree(2)
     twin = tree.clone()
-    apply_action(tree, "l", push("y", "l"))
+    tree.apply(tree.node_at("l"), push("y", "l"))
     assert twin.size == 3 and tree.size == 4
 
 
@@ -150,9 +153,12 @@ def test_random_walk_keeps_invariants(moves):
         size = tree.size
         if not action_is_legal(node, action):
             with pytest.raises(WellFormednessViolation):
-                apply_action(tree, path, action)
+                tree.apply(node, action)
             continue
-        tree, path = apply_action(tree, path, action)
+        new_path = tree.apply(node, action)[0].path()
+        # up and pop drop the last step; the rest append their side, if any
+        assert new_path == (path[:-1] if code in ("u", "pop") else path + code[1:])
+        path = new_path
         tree.check_invariants()
         assert tree.has(path)
         expected = size + (1 if action[0] == "push" else -1 if action[0] == "pop" else 0)
@@ -182,9 +188,9 @@ def test_deep_tree_clone_and_snapshot():
     # a 1500-deep spine exceeds the default recursion limit if any of the
     # tree walks recurse
     tree = GammaTree()
-    path = ""
+    node = tree.root
     for _ in range(1500):
-        tree, path = apply_action(tree, path, push("x", "l"))
+        node, _ = tree.apply(node, push("x", "l"))
     twin = tree.clone()
     assert twin.size == tree.size == 1501
     text = tree.snapshot()
