@@ -10,10 +10,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .machine import END, Machine
+from .machine import Machine
 from .oracles import LanguageOracle
-from .simulate import run
-from .tree import GammaTree, TreeNode, WellFormednessViolation, action_is_legal
+from .simulate import Configuration, run
+from .tree import GammaTree, TreeNode
 
 
 class BudgetExceeded(RuntimeError):
@@ -189,92 +189,8 @@ class Mismatch:
         )
 
 
-class _PrefixWalker:
-    """Steps one real-time machine through the tree of input prefixes.
-
-    Structural edits are undone on backtrack, so advancing or retreating
-    by one symbol is O(1).  After the machine halts inside a prefix, the
-    walker only counts depth: a deterministic machine that halted rejects
-    every extension.
-    """
-
-    __slots__ = ("trans", "accepting", "tree", "node", "state", "dead", "_undo")
-
-    def __init__(self, machine: Machine):
-        if not machine.real_time:
-            raise ValueError("prefix walking requires a real-time machine")
-        self.trans = machine.transitions
-        self.accepting = machine.accepting
-        if machine.initial_tree is not None:
-            self.tree = machine.initial_tree.clone()
-            self.node = self.tree.node_at(machine.initial_pointer)
-        else:
-            self.tree = GammaTree()
-            self.node = self.tree.root
-        self.state = machine.start
-        self.dead = 0
-        self._undo: list = []
-
-    def push(self, sym: str) -> None:
-        if self.dead:
-            self.dead += 1
-            return
-        node = self.node
-        hit = self.trans.get(
-            (
-                self.state,
-                sym,
-                node.side,
-                "-" if node.left is None else "+",
-                "-" if node.right is None else "+",
-                node.label,
-            )
-        )
-        if hit is None:
-            self.dead = 1
-            return
-        target, action = hit
-        try:
-            new_node, record = self.tree.apply(node, action)
-        except WellFormednessViolation:
-            self.dead = 1  # an aborted run also rejects every extension
-            return
-        self._undo.append((self.state, node, record))
-        self.state = target
-        self.node = new_node
-
-    def pop(self) -> None:
-        if self.dead:
-            self.dead -= 1
-            return
-        state, node, record = self._undo.pop()
-        self.tree.undo(record)
-        self.state = state
-        self.node = node
-
-    def accepts_now(self) -> bool:
-        """Would the endmarker arriving here leave the machine accepting?"""
-        if self.dead:
-            return False
-        node = self.node
-        hit = self.trans.get(
-            (
-                self.state,
-                END,
-                node.side,
-                "-" if node.left is None else "+",
-                "-" if node.right is None else "+",
-                node.label,
-            )
-        )
-        if hit is None:
-            return False
-        target, action = hit
-        return target in self.accepting and action_is_legal(node, action)
-
-
 class _RerunWalker:
-    """Stand-in for `_PrefixWalker` on machines with λ moves.
+    """Stand-in for the prefix-walking `Configuration` on machines with λ moves.
 
     Each word is run from scratch under `run_budget`.  It never reports
     the machine dead, so no subtree is skipped.
@@ -300,7 +216,7 @@ class _RerunWalker:
 
 def _walker(machine: Machine, run_budget: int | float | None):
     if machine.real_time:
-        return _PrefixWalker(machine)
+        return Configuration(machine, "")
     return _RerunWalker(machine, run_budget)
 
 
@@ -410,14 +326,16 @@ def enumerate_accepted(
 def machines_agree(
     first: Machine, second: Machine, max_len: int, budget: int | None = None
 ) -> list[str]:
-    """Words up to `max_len` on which the two machines disagree.
+    """Words up to `max_len` on which the two real-time machines disagree.
 
     Subtrees where both machines have halted are skipped: two halted
     deterministic machines reject every extension alike.
     """
     if sorted(first.input_alphabet) != sorted(second.input_alphabet):
         raise ValueError("machines have different alphabets")
-    a, b = _PrefixWalker(first), _PrefixWalker(second)
+    if not (first.real_time and second.real_time):
+        raise ValueError("prefix walking requires a real-time machine")
+    a, b = Configuration(first, ""), Configuration(second, "")
     differ: list[str] = []
 
     def push(sym: str) -> None:

@@ -101,25 +101,16 @@ def build_fib() -> Machine:
     return _build("fib", ("a",), (BULLET,), "init0", ("final",), rows, non_erasing=True)
 
 
-def build_trie_p() -> Machine:
-    """Trie dictionary machine over {a, b, $, ⊳}.
+def _trie_insertion_rows(close: str, after: str) -> list[TransitionRow]:
+    """The insertion and climb rows both trie machines share.
 
-    Accepts words x1 $^|x1| ... xk $^|xk| ⊳ y where no later xi is a proper
-    prefix of an earlier one and y equals some xm.  Each xi is inserted as
-    a root path (a = left edge, b = right edge); nodes are labeled at push
-    time, 'e' exactly at the node where an xi ends, 'n' elsewhere.  Since
-    the machine only learns that a letter was the last of its block when
-    the following symbol arrives, every tree action runs one symbol behind
-    the input, with the pending symbol kept in the state.  The $ padding
-    walks back up to the root one level per $; any count mismatch, or an
-    insertion ending on an unflagged interior node, leaves the machine
-    without an applicable rule, which rejects.  After ⊳ the query y is
-    walked down the trie and the endmarker accepts only on an 'e' node.
+    They read x1 $^|x1| ... xk $^|xk| into the trie; the symbol `close`,
+    read at the root, ends the insertions and moves to state `after`.
     """
     rows = [
         _row("start", "a", "-", "-", "-", "*", "first-a", STAY),
         _row("start", "b", "-", "-", "-", "*", "first-b", STAY),
-        _row("start", MARK, "-", "-", "-", "*", "match-root", STAY),
+        _row("start", close, "-", "-", "-", "*", after, STAY),
     ]
     for cur, side, flag in (("a", "l", "hl"), ("b", "r", "hr")):
         for nxt in ("a", "b", "$"):
@@ -135,7 +126,7 @@ def build_trie_p() -> Machine:
             rows.append(_row(f"first-{cur}", nxt, "-", *present, "*", target, down))
             rows.append(_row(f"mid-{cur}", nxt, "*", *absent, "*", target, push(label, side)))
             rows.append(_row(f"mid-{cur}", nxt, "*", *present, "*", target, down))
-    for nxt, target in (("a", "first-a"), ("b", "first-b"), ("$", "climb"), (MARK, "match-root")):
+    for nxt, target in (("a", "first-a"), ("b", "first-b"), ("$", "climb"), (close, after)):
         # First $ of a padding run: the pointer sits on the end node of the
         # inserted word.  Requiring a flagged leaf enforces the order
         # condition exactly: a child would prove an earlier insertion ran
@@ -144,7 +135,25 @@ def build_trie_p() -> Machine:
         rows.append(_row("climb-first", nxt, "*", "-", "-", "e", target, UP))
         for label in ("n", "e"):
             rows.append(_row("climb", nxt, "*", "*", "*", label, target, UP))
-    rows += [
+    return rows
+
+
+def build_trie_p() -> Machine:
+    """Trie dictionary machine over {a, b, $, ⊳}.
+
+    Accepts words x1 $^|x1| ... xk $^|xk| ⊳ y where no later xi is a proper
+    prefix of an earlier one and y equals some xm.  Each xi is inserted as
+    a root path (a = left edge, b = right edge); nodes are labeled at push
+    time, 'e' exactly at the node where an xi ends, 'n' elsewhere.  Since
+    the machine only learns that a letter was the last of its block when
+    the following symbol arrives, every tree action runs one symbol behind
+    the input, with the pending symbol kept in the state.  The $ padding
+    walks back up to the root one level per $; any count mismatch, or an
+    insertion ending on an unflagged interior node, leaves the machine
+    without an applicable rule, which rejects.  After ⊳ the query y is
+    walked down the trie and the endmarker accepts only on an 'e' node.
+    """
+    rows = _trie_insertion_rows(MARK, "match-root") + [
         _row("match-root", "a", "-", "+", "*", "*", "match", DOWN_L),
         _row("match-root", "b", "-", "*", "+", "*", "match", DOWN_R),
         _row("match", "a", "*", "+", "*", "*", "match", DOWN_L),
@@ -164,27 +173,7 @@ def build_trie_p_hat() -> Machine:
     by ¢, an arbitrary stretch over {a, b, $} that is read with the pointer
     parked at the root, and ▷ which starts the query match.
     """
-    rows = [
-        _row("start", "a", "-", "-", "-", "*", "first-a", STAY),
-        _row("start", "b", "-", "-", "-", "*", "first-b", STAY),
-        _row("start", CENT, "-", "-", "-", "*", "skim", STAY),
-    ]
-    for cur, side, flag in (("a", "l", "hl"), ("b", "r", "hr")):
-        for nxt in ("a", "b", "$"):
-            target = f"mid-{nxt}" if nxt != "$" else "climb-first"
-            label = "n" if nxt != "$" else "e"
-            absent = ("-", "*") if flag == "hl" else ("*", "-")
-            present = ("+", "*") if flag == "hl" else ("*", "+")
-            down = DOWN_L if side == "l" else DOWN_R
-            rows.append(_row(f"first-{cur}", nxt, "-", *absent, "*", target, push(label, side)))
-            rows.append(_row(f"first-{cur}", nxt, "-", *present, "*", target, down))
-            rows.append(_row(f"mid-{cur}", nxt, "*", *absent, "*", target, push(label, side)))
-            rows.append(_row(f"mid-{cur}", nxt, "*", *present, "*", target, down))
-    for nxt, target in (("a", "first-a"), ("b", "first-b"), ("$", "climb"), (CENT, "skim")):
-        rows.append(_row("climb-first", nxt, "*", "-", "-", "e", target, UP))
-        for label in ("n", "e"):
-            rows.append(_row("climb", nxt, "*", "*", "*", label, target, UP))
-    rows += [
+    rows = _trie_insertion_rows(CENT, "skim") + [
         # The skimmed stretch never moves the pointer; being keyed at the
         # root also verifies the final $ run returned there.
         _row("skim", "a", "-", "*", "*", "*", "skim", STAY),

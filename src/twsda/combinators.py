@@ -14,7 +14,7 @@ from .machine import (
     validate,
 )
 from .simulate import Configuration, EndmarkerInInput, step
-from .tree import ROOT_LABEL, STAY, WellFormednessViolation
+from .tree import ROOT_LABEL, STAY, NodeType, WellFormednessViolation, action_is_legal
 
 
 class NotRealTime(ValueError):
@@ -72,9 +72,9 @@ def complement(machine: Machine) -> Machine:
     """Machine accepting exactly the words `machine` does not accept.
 
     Real time makes every run halt by itself, so it suffices to route every
-    undefined lookup into a sink state that consumes the rest of the input,
-    and then to flip which states accept.  Assumes runs of `machine` never
-    abort on an illegal action, which holds for all shipped machines.
+    undefined lookup, and every rule whose action is illegal at its own
+    node shape (a run that aborts rejects), into a sink state that consumes
+    the rest of the input, and then to flip which states accept.
     """
     if not machine.real_time:
         raise NotRealTime("complement is defined for real-time machines")
@@ -86,7 +86,9 @@ def complement(machine: Machine) -> Machine:
         for sym in machine.input_alphabet + (END,):
             for anc, hl, hr, label in _consistent_shapes(machine.tree_alphabet):
                 key = TransitionKey(state, sym, anc, hl, hr, label)
-                if key not in transitions:
+                if key not in transitions or not action_is_legal(
+                    NodeType(anc, hl, hr), transitions[key][1]
+                ):
                     transitions[key] = (sink, STAY)
     accepting = frozenset(set(machine.states) - machine.accepting) | {sink}
     result = Machine(

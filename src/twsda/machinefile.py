@@ -302,22 +302,20 @@ def parse_machine(text: str, name: str = "machine") -> Machine:
         raise MachineFileError(problems)
 
     try:
-        expand_rows(rows, tree_symbols)
+        machine = machine_from_rows(
+            name,
+            alphabet,
+            tree_symbols,
+            start,
+            accepting,
+            rows,
+            real_time=flags["realtime"],
+            non_erasing=flags["nonerasing"],
+            initial_tree=initial_tree,
+            initial_pointer=initial_pointer,
+        )
     except SpecificityConflict as exc:
         raise MachineFileError([Diagnostic(exc.second.origin, "specificity-conflict", str(exc))])
-
-    machine = machine_from_rows(
-        name,
-        alphabet,
-        tree_symbols,
-        start,
-        accepting,
-        rows,
-        real_time=flags["realtime"],
-        non_erasing=flags["nonerasing"],
-        initial_tree=initial_tree,
-        initial_pointer=initial_pointer,
-    )
     violations = validate(machine)
     if violations:
         raise MachineFileError([Diagnostic(None, v.kind, v.message) for v in violations])

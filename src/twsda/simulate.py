@@ -15,7 +15,7 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .machine import END, LAMBDA, Machine
-from .tree import GammaTree, WellFormednessViolation
+from .tree import GammaTree, WellFormednessViolation, action_is_legal
 
 
 class EndmarkerInInput(ValueError):
@@ -60,13 +60,21 @@ class RunOutcome:
 
 
 class Configuration:
-    """One run's mutable state.  Owned by a single run; never shared.
+    """One run's mutable state, and the one stepper every caller uses.
 
-    The pointer is a direct node reference, so a step costs O(1); its path
-    is computed from the node only when asked for.
+    `push(sym)` makes one step reading `sym`; `pop()` takes the latest step
+    back, undoing its structural edit, so a prefix walk advances and
+    retreats by one symbol in O(1).  A configuration whose machine halted
+    or aborted is dead: `dead` then counts the pushes since, and a
+    deterministic machine that stopped rejects every extension.  The
+    pointer is a direct node reference; its path is computed from the node
+    only when asked for.
     """
 
-    __slots__ = ("state", "word", "pos", "tree", "node")
+    __slots__ = (
+        "state", "word", "pos", "tree", "node", "dead", "violation",
+        "_trans", "_accepting", "_real_time", "_undo",
+    )
 
     def __init__(self, machine: Machine, word: Sequence[str]):
         self.state = machine.start
@@ -78,6 +86,12 @@ class Configuration:
         else:
             self.tree = GammaTree()
             self.node = self.tree.root
+        self.dead = 0
+        self.violation: WellFormednessViolation | None = None
+        self._trans = machine.transitions
+        self._accepting = machine.accepting
+        self._real_time = machine.real_time
+        self._undo: list = []
 
     @property
     def path(self) -> str:
@@ -94,58 +108,100 @@ class Configuration:
     def input_fully_consumed(self) -> bool:
         return self.pos > len(self.word)
 
+    def push(self, sym: str | None):
+        """Make one step with `sym` (an input symbol, END, or None) at the head.
 
-def _lookup(machine: Machine, config: Configuration):
-    """Find the applicable rule; returns (consumed_symbol, target, action)."""
-    node = config.node
-    ntype = (
-        node.side,
-        "-" if node.left is None else "+",
-        "-" if node.right is None else "+",
-        node.label,
-    )
-    sym = config.head()
-    hit = None
-    if sym is not None:
-        hit = machine.transitions.get((config.state, sym) + ntype)
-    if machine.real_time:
-        return (sym, *hit) if hit is not None else None
-    lam = machine.transitions.get((config.state, LAMBDA) + ntype)
-    if hit is not None:
-        if lam is not None:
-            raise DeterminismError(
-                f"state {config.state!r} matches both symbol {sym!r} and λ"
+        The rule is looked up under `sym` first and, for machines not
+        flagged real-time, under λ.  Returns (consumed, action), where
+        consumed is `sym` or LAMBDA; `pos` is the caller's to advance.
+        Returns None when the machine halts or aborts on an illegal action,
+        which leaves the configuration dead; `violation` holds the abort's
+        WellFormednessViolation, or None after a halt.
+        """
+        if self.dead:
+            self.dead += 1
+            return None
+        node = self.node
+        key = (
+            self.state,
+            sym,
+            node.side,
+            "-" if node.left is None else "+",
+            "-" if node.right is None else "+",
+            node.label,
+        )
+        hit = self._trans.get(key)
+        if not self._real_time:
+            lam = self._trans.get((self.state, LAMBDA) + key[2:])
+            if lam is not None:
+                if hit is not None:
+                    raise DeterminismError(
+                        f"state {self.state!r} matches both symbol {sym!r} and λ"
+                    )
+                hit, sym = lam, LAMBDA
+        if hit is None:
+            self.violation = None
+            self.dead = 1
+            return None
+        target, action = hit
+        try:
+            new_node, record = self.tree.apply(node, action)
+        except WellFormednessViolation as exc:
+            self.violation = exc
+            self.dead = 1
+            return None
+        self._undo.append((self.state, node, record))
+        self.state = target
+        self.node = new_node
+        return sym, action
+
+    def pop(self) -> None:
+        """Take the latest `push` back."""
+        if self.dead:
+            self.dead -= 1
+            return
+        state, node, record = self._undo.pop()
+        self.tree.undo(record)
+        self.state = state
+        self.node = node
+
+    def accepts_now(self) -> bool:
+        """Would the endmarker arriving here leave a real-time machine accepting?"""
+        if self.dead:
+            return False
+        node = self.node
+        hit = self._trans.get(
+            (
+                self.state,
+                END,
+                node.side,
+                "-" if node.left is None else "+",
+                "-" if node.right is None else "+",
+                node.label,
             )
-        return (sym, *hit)
-    if lam is not None:
-        return (LAMBDA, *lam)
-    return None
-
-
-def _advance(machine: Machine, config: Configuration):
-    """Execute one step in place; returns (consumed, action) or None on halt.
-
-    Raises WellFormednessViolation when the matched rule's action is
-    illegal at the current node.
-    """
-    found = _lookup(machine, config)
-    if found is None:
-        return None
-    consumed, target, action = found
-    config.node = config.tree.apply(config.node, action)[0]
-    config.state = target
-    if consumed != LAMBDA:
-        config.pos += 1
-    return consumed, action
+        )
+        if hit is None:
+            return False
+        target, action = hit
+        return target in self._accepting and action_is_legal(node.node_type(), action)
 
 
 def step(machine: Machine, config: Configuration) -> Configuration | None:
-    """Advance `config` by one step in place; None when the machine halts.
+    """Advance `config`, made for `machine`, by one step in place; None
+    when the machine halts.
 
     Raises WellFormednessViolation when the matched rule's action is
     illegal at the current node.
     """
-    return config if _advance(machine, config) is not None else None
+    moved = config.push(config.head())
+    if moved is None:
+        if config.violation is not None:
+            raise config.violation
+        return None
+    config._undo.pop()  # a run never backtracks
+    if moved[0] != LAMBDA:
+        config.pos += 1
+    return config
 
 
 def _run(machine: Machine, word: Sequence[str], budget, trace: list | None):
@@ -168,25 +224,34 @@ def _run(machine: Machine, word: Sequence[str], budget, trace: list | None):
         raise ValueError("budget must be a positive number of steps")
 
     config = Configuration(machine, word)
+    push, forget = config.push, config._undo.pop  # a run never backtracks
+    n = len(word)
     pointer = machine.initial_pointer
     steps = 0
     while True:
+        pos = config.pos
+        sym = word[pos] if pos < n else END if pos == n else None
         if steps >= budget:
             # Halting still beats the budget: only a machine that would
-            # keep moving counts as cut off.
-            if _lookup(machine, config) is None:
+            # keep moving counts as cut off.  The look-ahead step is taken
+            # back, so the storage stays as the run left it.
+            if push(sym) is not None:
+                config.pop()
+            elif config.violation is None:
                 break
             return Verdict.BUDGET_EXHAUSTED, config, steps
         state_before = config.state
-        try:
-            moved = _advance(machine, config)
-        except WellFormednessViolation:
-            return Verdict.WELL_FORMEDNESS_VIOLATION, config, steps
+        moved = push(sym)
         if moved is None:
+            if config.violation is not None:
+                return Verdict.WELL_FORMEDNESS_VIOLATION, config, steps
             break
+        forget()
+        consumed, action = moved
+        if consumed != LAMBDA:
+            config.pos = pos + 1
         steps += 1
         if trace is not None:
-            consumed, action = moved
             kind = action[0]
             if kind == "up" or kind == "pop":
                 pointer = pointer[:-1]

@@ -90,22 +90,22 @@ class TreeNode:
         return "".join(reversed(parts))
 
 
-def action_is_legal(node: TreeNode, action: tuple) -> bool:
-    """Whether `action` may fire at `node` without violating well-formedness."""
+def action_is_legal(ntype: NodeType, action: tuple) -> bool:
+    """Whether `action` may fire at a node of shape `ntype` without
+    violating well-formedness."""
     kind = action[0]
     if kind == "stay":
         return True
     if kind == "up":
-        return node.parent is not None
+        return ntype.ancestry != "-"
     if kind == "down-l":
-        return node.left is not None
+        return ntype.has_left == "+"
     if kind == "down-r":
-        return node.right is not None
+        return ntype.has_right == "+"
     if kind == "pop":
-        return node.parent is not None and node.left is None and node.right is None
+        return ntype.ancestry != "-" and ntype.has_left == ntype.has_right == "-"
     if kind == "push":
-        side = action[2]
-        return node.left is None if side == "l" else node.right is None
+        return (ntype.has_left if action[2] == "l" else ntype.has_right) == "-"
     raise ValueError(f"unknown action {action!r}")
 
 

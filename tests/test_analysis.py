@@ -280,6 +280,9 @@ def test_lambda_machine_checks_follow_the_real_time_walk():
     assert enumerate_accepted(lam, 3, run_budget=6) == ["a", "aa", "ba"]
     with pytest.raises(BudgetRequired):
         enumerate_accepted(lam, 3)
+    for first, second in ((lam, real_time), (real_time, lam)):
+        with pytest.raises(ValueError, match="real-time"):
+            machines_agree(first, second, 3)
 
 
 def test_machines_agree_detects_difference():

@@ -1,5 +1,6 @@
 """Complement, regular intersection, left quotient."""
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,7 @@ from twsda.combinators import (
 )
 from twsda.machine import TransitionRow, machine_from_rows, validate
 from twsda.machinefile import export_machine, parse_machine
-from twsda.simulate import run
+from twsda.simulate import Verdict, run
 from twsda.tree import ROOT_LABEL, STAY
 
 
@@ -72,6 +73,18 @@ def test_complement_on_larger_alphabet():
     m = build_trie_p()
     c = complement(m)
     assert len(machines_agree(m, c, 3)) == 1 + 4 + 16 + 64
+
+
+def test_complement_accepts_where_the_machine_aborts():
+    # the machine's only rule walks off the root, so every nonempty word
+    # aborts the run, which rejects: the complement must accept them
+    broken = Path(__file__).parent / "broken" / "pointer-violation.twm"
+    m = parse_machine(broken.read_text(encoding="utf-8"))
+    c = complement(m)
+    for word in ("a", "aa"):
+        assert run(m, word).verdict is Verdict.WELL_FORMEDNESS_VIOLATION
+        assert run(c, word).accepted
+    assert len(machines_agree(m, c, 3)) == 4
 
 
 def test_complement_requires_real_time():

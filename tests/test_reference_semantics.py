@@ -9,10 +9,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
+from test_machinefile import _random_rows
+from twsda.analysis import enumerate_accepted, machines_agree
 from twsda.builders import BUILTINS
 from twsda.combinators import complement, left_quotient
-from twsda.machine import END, LAMBDA, Machine
+from twsda.machine import END, LAMBDA, Machine, SpecificityConflict, machine_from_rows, validate
 from twsda.simulate import Verdict, run
 from twsda.tree import ROOT_LABEL
 
@@ -145,3 +148,27 @@ def test_quotient_and_complement_commute():
         two = left_quotient(complement(base), prefix)
         max_len = 40 if name == "expo" else 6
         assert machines_agree(one, two, max_len) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_rows())
+def test_random_real_time_machines_match_the_reference(rows):
+    """Random tables, pops and actions illegal at their own shape included."""
+    try:
+        machine = machine_from_rows(
+            "rand", ("a", "b", "¢", "⊳"), ("x", "y"), "q0", ["final"], rows,
+            real_time=True, non_erasing=False,
+        )
+    except SpecificityConflict:
+        return
+    assert not validate(machine)
+    words = [
+        "".join(parts)
+        for length in range(4)
+        for parts in itertools.product(sorted(machine.input_alphabet), repeat=length)
+    ]
+    for word in words:
+        agree(machine, word)
+    accepted = [w for w in words if naive_run(machine, w)[0] == "accepted"]
+    assert enumerate_accepted(machine, 3) == accepted
+    assert sorted(machines_agree(machine, complement(machine), 3)) == sorted(words)

@@ -1,5 +1,6 @@
 """Step and run semantics: lookup order, acceptance, budgets, traces."""
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from twsda.simulate import (
     run,
     step,
 )
-from twsda.tree import ROOT_LABEL, STAY, UP, push
+from twsda.tree import DOWN_R, ROOT_LABEL, STAY, UP, push
 
 
 def mk(rows, *, accept=("yes",), real_time=True, non_erasing=True, alphabet=("a",)):
@@ -171,6 +172,12 @@ def test_final_tree_is_the_storage_where_the_run_stops():
     aborting = parse_machine(broken.read_text(encoding="utf-8"))
     assert run(aborting, "a").verdict is Verdict.WELL_FORMEDNESS_VIOLATION
     assert final_tree(aborting, "a").size == 1
+    # one legal push, then a step down a missing right child: the budget
+    # runs out before the abort, and the storage is the one push's
+    late = mk([row("q0", "a", "q1", push("x", "l")), row("q1", "a", "q1", DOWN_R, anc="l")])
+    assert run(late, "aa").verdict is Verdict.WELL_FORMEDNESS_VIOLATION
+    assert run(late, "aa", budget=1).verdict is Verdict.BUDGET_EXHAUSTED
+    assert final_tree(late, "aa", budget=1).snapshot() == f"({ROOT_LABEL} (x . .) .)"
     expo, word = build_expo(), "a" * 32
     config = Configuration(expo, word)
     for budget in range(1, 34):
@@ -182,3 +189,15 @@ def test_final_tree_is_the_storage_where_the_run_stops():
     for word, budget in (("z", None), ("a" + END, None), ("a", 0), ("a", -1)):
         with pytest.raises(ValueError):
             final_tree(expo, word, budget=budget)
+
+
+def test_untraced_run_keeps_memory_bounded():
+    m = mk([row("q0", LAMBDA, "q0")], real_time=False)  # a λ loop in place
+    tracemalloc.start()
+    try:
+        out = run(m, "", budget=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.verdict is Verdict.BUDGET_EXHAUSTED and out.steps_taken == 100_000
+    assert peak < 1_000_000

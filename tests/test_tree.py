@@ -97,7 +97,7 @@ def test_action_legality_matches_apply(action):
         tree = builder()
         for path in tree.paths():
             node = tree.node_at(path)
-            legal = action_is_legal(node, action)
+            legal = action_is_legal(node.node_type(), action)
             twin = tree.clone()
             try:
                 twin.apply(twin.node_at(path), action)
@@ -151,7 +151,7 @@ def test_random_walk_keeps_invariants(moves):
         action = actions[code]
         node = tree.node_at(path)
         size = tree.size
-        if not action_is_legal(node, action):
+        if not action_is_legal(node.node_type(), action):
             with pytest.raises(WellFormednessViolation):
                 tree.apply(node, action)
             continue
