@@ -26,7 +26,7 @@ from .machinefile import (
     parse_word,
 )
 from .oracles import ORACLES
-from .simulate import Configuration, RunOutcome, Verdict, run, step
+from .simulate import Configuration, RunOutcome, Verdict, run
 from .tree import format_action
 
 
@@ -119,32 +119,25 @@ def cmd_trace(args) -> int:
     machine = load_machine(args.machine)
     word = parse_word(args.word)
     out = run(machine, word, budget=_budget_for(machine, args), traced=True)
-    snapshots = None
-    if args.snapshots:
-        # Re-run step by step to photograph the storage after each move.
-        snapshots = []
-        config = Configuration(machine, word)
-        while len(snapshots) < len(out.trace) and step(machine, config) is not None:
-            snapshots.append(config.tree.snapshot())
-    for i, rec in enumerate(out.trace):
+    # Snapshots replay each recorded action on a fresh copy of the storage.
+    storage = Configuration(machine, word)
+    for rec in out.trace:
         line = (
             f"step={rec.step_index} state={rec.state_before} "
             f"in={_symbol_text(rec.consumed)} act={format_action(rec.action)} "
             f"ptr={rec.pointer_after or 'λ'} nodes={rec.node_count_after}"
         )
-        if snapshots is not None:
-            line += f" {snapshots[i]}"
+        if args.snapshots:
+            storage.node = storage.tree.apply(storage.node, rec.action)[0]
+            line += f" {storage.tree.snapshot()}"
         print(line)
     return _verdict_exit(out, sys.stdout)
 
 
 def cmd_enum(args) -> int:
     machine = load_machine(args.machine)
-    run_budget = None
-    if not machine.real_time:
-        run_budget = _budget_for(machine, args)
     words = enumerate_accepted(
-        machine, args.max_len, budget=args.budget, run_budget=run_budget
+        machine, args.max_len, budget=args.budget, run_budget=_budget_for(machine, args)
     )
     for word in words:
         print(format_word(word))
@@ -154,11 +147,8 @@ def cmd_enum(args) -> int:
 def cmd_check(args) -> int:
     machine = load_machine(args.machine)
     oracle = load_oracle(args.oracle)
-    run_budget = None
-    if not machine.real_time:
-        run_budget = _budget_for(machine, args)
     mismatches = cross_check(
-        machine, oracle, args.max_len, budget=args.budget, run_budget=run_budget
+        machine, oracle, args.max_len, budget=args.budget, run_budget=_budget_for(machine, args)
     )
     for mism in mismatches:
         print(f"MISMATCH {mism}")

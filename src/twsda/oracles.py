@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable
 
 CENT = "¢"
 MARK = "⊳"
@@ -39,9 +39,6 @@ class LanguageOracle:
     alphabet: tuple[str, ...]
     membership: Callable[[str], bool]
     viable_prefix: Callable[[str], bool] | None = None
-
-    def __call__(self, word: str) -> bool:
-        return self.membership(word)
 
 
 def pair_expand(word: str) -> str | None:
@@ -116,11 +113,14 @@ def oracle_cub() -> LanguageOracle:
 # -- dictionary languages with counted padding --------------------------------
 
 
-def _parse_padded_blocks(body: str):
-    """Split x1 $^|x1| x2 $^|x2| ... into the xi, or None if malformed.
+def _parse_padded(body: str):
+    """Read x1 $^|x1| x2 $^|x2| ... as far as `body` goes.
 
     Blocks are non-empty words over {a, b}, each followed by exactly as
-    many $ as it has letters.
+    many $ as it has letters, and no block may be a proper prefix of an
+    earlier one.  Returns (xs, complete): the blocks whose letters are
+    already decided, and whether the body ends exactly after a block's
+    padding.  None means no extension can repair the body.
     """
     xs = []
     i = 0
@@ -130,134 +130,71 @@ def _parse_padded_blocks(body: str):
         while j < n and body[j] in "ab":
             j += 1
         if j == i:
-            return None  # $ where a letter run should start
-        length = j - i
-        if body[j : j + length] != "$" * length or (
-            j + length < n and body[j + length] == "$"
-        ):
-            return None
-        xs.append(body[i:j])
-        i = j + length
-    return xs
-
-
-def _parse_padded_prefix(body: str):
-    """Like `_parse_padded_blocks` for a word that may stop mid-block.
-
-    Returns (fixed_xs, still_open): the blocks whose letters are already
-    decided, and whether the last block is unfinished.  None means no
-    extension can repair the body.
-    """
-    xs = []
-    i = 0
-    n = len(body)
-    while i < n:
-        j = i
-        while j < n and body[j] in "ab":
-            j += 1
-        if j == i:
-            return None  # $ where a letter run should start
-        length = j - i
+            return None  # $ where a letter run should start, or one $ too many
         if j == n:
-            return xs, True  # still writing letters; the block is not fixed yet
-        pad = 0
-        while j + pad < n and body[j + pad] == "$":
-            pad += 1
-        if pad > length:
-            return None  # one $ too many
-        if pad < length:
-            if j + pad < n:
-                return None  # a letter arrived before the padding was complete
-            xs.append(body[i:j])
-            return xs, True  # mid-$ run; the block's letters are fixed
-        xs.append(body[i:j])
-        i = j + pad
-    return xs, False
+            return xs, False  # still writing letters; the block is not fixed yet
+        x = body[i:j]
+        for earlier in xs:
+            if earlier != x and earlier.startswith(x):
+                return None  # a proper prefix of an earlier block
+        xs.append(x)
+        i = j + len(x)
+        if body[j:i] != "$" * len(x):
+            # a body cut off inside the padding can still be completed
+            return (xs, False) if i > n and body[j:] == "$" * (n - j) else None
+    return xs, True
 
 
-def _prefix_free_order(xs: Iterable[str]) -> bool:
-    """No word is a proper prefix of an earlier one."""
-    xs = list(xs)
-    for i, later in enumerate(xs):
-        for earlier in xs[:i]:
-            if later != earlier and earlier.startswith(later):
-                return False
-    return True
+def _padded_dictionary_oracle(name: str, alphabet, query, viable=None) -> LanguageOracle:
+    """Membership for x1 $^|x1| ... xk $^|xk| ⊳ y languages.
 
-
-def _padded_dictionary_oracle(name: str, marker: str, query_matches) -> LanguageOracle:
-    """Membership for x1 $^|x1| ... xk $^|xk| <marker> y languages."""
+    `query(xs, y)` decides whether y matches the dictionary xs.
+    """
 
     def member(w: str) -> bool:
-        if w.count(marker) != 1:
+        body, mark, y = w.partition(MARK)
+        if not mark:
             return False
-        body, _, y = w.partition(marker)
-        xs = _parse_padded_blocks(body)
-        if xs is None or not _prefix_free_order(xs):
-            return False
-        return query_matches(xs, y)
+        parsed = _parse_padded(body)
+        return parsed is not None and parsed[1] and query(parsed[0], y)
 
-    return LanguageOracle(name, ("a", "b", "$", marker), member)
+    return LanguageOracle(name, alphabet, member, viable)
 
 
 def oracle_lp() -> LanguageOracle:
-    def query(xs, y):
-        return all(c in "ab" for c in y) and y in xs
-
     def viable(w: str) -> bool:
-        if w.count(MARK) > 1:
-            return False
-        if MARK in w:
-            body, _, y = w.partition(MARK)
-            xs = _parse_padded_blocks(body)
-            if xs is None or not _prefix_free_order(xs):
-                return False
-            if any(c not in "ab" for c in y):
-                return False
-            return any(x.startswith(y) for x in xs)
-        parsed = _parse_padded_prefix(w)
+        body, mark, y = w.partition(MARK)
+        parsed = _parse_padded(body)
         if parsed is None:
             return False
-        xs, _ = parsed
-        return _prefix_free_order(xs)
+        return not mark or (parsed[1] and any(x.startswith(y) for x in parsed[0]))
 
-    oracle = _padded_dictionary_oracle("lp", MARK, query)
-    return LanguageOracle(oracle.name, oracle.alphabet, oracle.membership, viable)
+    return _padded_dictionary_oracle("lp", ("a", "b", "$", MARK), lambda xs, y: y in xs, viable)
 
 
 def oracle_lp_hat() -> LanguageOracle:
     """As `oracle_lp` with a skimmed {a,b,$}* stretch between ¢ and ▷."""
 
     def member(w: str) -> bool:
-        if w.count(CENT) != 1:
-            return False
         body, _, tail = w.partition(CENT)
-        if tail.count(MARK1) != 1:
+        z, mark, y = tail.partition(MARK1)
+        if not mark or any(c not in "ab$" for c in z):
             return False
-        z, _, y = tail.partition(MARK1)
-        if any(c not in "ab$" for c in z) or any(c not in "ab" for c in y):
-            return False
-        xs = _parse_padded_blocks(body)
-        return xs is not None and _prefix_free_order(xs) and y in xs
+        parsed = _parse_padded(body)
+        return parsed is not None and parsed[1] and y in parsed[0]
 
     def viable(w: str) -> bool:
-        if w.count(CENT) > 1 or w.count(MARK1) > 1:
+        body, cent, tail = w.partition(CENT)
+        parsed = _parse_padded(body)
+        if parsed is None:
             return False
-        if CENT not in w:
-            if MARK1 in w:
-                return False
-            parsed = _parse_padded_prefix(w)
-            return parsed is not None and _prefix_free_order(parsed[0])
-        body, _, tail = w.partition(CENT)
-        xs = _parse_padded_blocks(body)
-        if xs is None or not _prefix_free_order(xs) or not xs:
-            return False  # with no inserted word, no query can ever match
-        if MARK1 not in tail:
-            return all(c in "ab$" for c in tail)
-        z, _, y = tail.partition(MARK1)
-        if any(c not in "ab$" for c in z) or any(c not in "ab" for c in y):
-            return False
-        return any(x.startswith(y) for x in xs)
+        if not cent:
+            return True
+        xs, complete = parsed
+        z, mark, y = tail.partition(MARK1)
+        if not complete or not xs or any(c not in "ab$" for c in z):
+            return False  # a query needs a finished body with a word in it
+        return not mark or any(x.startswith(y) for x in xs)
 
     return LanguageOracle("lp-hat", ("a", "b", "$", CENT, MARK1), member, viable)
 
@@ -325,27 +262,16 @@ def oracle_lh() -> LanguageOracle:
 
 def oracle_lh_tilde() -> LanguageOracle:
     """Counted-padding dictionary where y's block image must match an xi."""
-
-    def query(xs, y):
-        image = pair_expand(y)
-        return image is not None and image in xs
-
-    oracle = _padded_dictionary_oracle("lh-tilde", MARK, query)
-    return LanguageOracle(
-        "lh-tilde", ("a", "b", "$", MARK, "0", "1", "2", "3"), oracle.membership
+    return _padded_dictionary_oracle(
+        "lh-tilde", ("a", "b", "$", MARK, "0", "1", "2", "3"),
+        lambda xs, y: pair_expand(y) in xs,
     )
 
 
 def oracle_lp_tilde() -> LanguageOracle:
     """Counted-padding dictionary where y is primed and unprimed to match."""
-
-    def query(xs, y):
-        image = unprime(y)
-        return image is not None and image in xs
-
-    oracle = _padded_dictionary_oracle("lp-tilde", MARK, query)
-    return LanguageOracle(
-        "lp-tilde", ("a", "b", "$", MARK, "A", "B"), oracle.membership
+    return _padded_dictionary_oracle(
+        "lp-tilde", ("a", "b", "$", MARK, "A", "B"), lambda xs, y: unprime(y) in xs
     )
 
 

@@ -166,7 +166,13 @@ class Configuration:
         self.node = node
 
     def accepts_now(self) -> bool:
-        """Would the endmarker arriving here leave a real-time machine accepting?"""
+        """Would the endmarker arriving here leave a real-time machine accepting?
+
+        Raises ValueError for machines not flagged real-time: the single
+        endmarker lookup follows no λ move, so it could answer wrongly.
+        """
+        if not self._real_time:
+            raise ValueError("accepts_now needs a real-time machine")
         if self.dead:
             return False
         node = self.node

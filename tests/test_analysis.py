@@ -23,7 +23,7 @@ from twsda.analysis import (
 from twsda.builders import build_expo, build_fib, build_trie_p
 from twsda.machine import END, LAMBDA, TransitionRow, machine_from_rows
 from twsda.oracles import ORACLES, LanguageOracle, lh_class_sample, oracle_expo, oracle_fib
-from twsda.simulate import BudgetRequired, run
+from twsda.simulate import BudgetRequired, Configuration, run
 from twsda.tree import GammaTree, ROOT_LABEL, STAY, UP, push
 
 
@@ -283,6 +283,11 @@ def test_lambda_machine_checks_follow_the_real_time_walk():
     for first, second in ((lam, real_time), (real_time, lam)):
         with pytest.raises(ValueError, match="real-time"):
             machines_agree(first, second, 3)
+    # the walker's endmarker lookup does not follow the λ hop that accepts "a"
+    config = Configuration(lam, "")
+    config.push("a")
+    with pytest.raises(ValueError, match="real-time"):
+        config.accepts_now()
 
 
 def test_machines_agree_detects_difference():

@@ -3,7 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from twsda.builders import build_fib
 from twsda.cli import main
+from twsda.combinators import left_quotient
+from twsda.machinefile import export_machine
+from twsda.simulate import final_tree
 
 BROKEN = Path(__file__).parent / "broken"
 SHIPPED = Path(__file__).parent.parent / "machines"
@@ -47,11 +51,26 @@ def test_trace_format_and_determinism(capsys):
     assert again[1] == out
 
 
-def test_trace_snapshots(capsys):
+def test_trace_snapshots(tmp_path, capsys):
     _, out, _ = cli(capsys, "trace", "builtin:fib", "--word", "a" * 12, "--snapshots")
     lines = out.splitlines()
     assert lines[10].endswith("(⊥ (• . .) .)")  # first push of the level-2 phase
     assert "act=push(•,l)" in lines[10]
+    # A machine that starts mid-phase on a stored tree, cut by its budget:
+    # after step i the storage is the run's tree after i+1 steps.
+    machine = left_quotient(build_fib(), "a" * 20)
+    path = tmp_path / "fib-after.twm"
+    path.write_text(export_machine(machine), encoding="utf-8")
+    word = "a" * 18
+    code, out, _ = cli(
+        capsys, "trace", str(path), "--word", word, "--max-steps", "12", "--snapshots"
+    )
+    lines = out.splitlines()
+    assert code == 2 and lines[-1] == "BUDGET-EXHAUSTED steps=12"
+    snapshots = [line.split(" ", 6)[6] for line in lines[:-1]]
+    assert len(snapshots) == 12 and len(set(snapshots)) > 1
+    for i, snapshot in enumerate(snapshots):
+        assert snapshot == final_tree(machine, word, budget=i + 1).snapshot(), i
 
 
 def test_enum_lists_words_in_order(capsys):

@@ -178,6 +178,72 @@ def test_viable_prefix_is_sound(name, member_len, word_len, ext_len):
     assert seen_member > 0 and seen_nonviable > 0
 
 
+def padded_members(max_len, queries, skim=False):
+    """Members up to `max_len` of a padded dictionary language, built from
+    its definition rather than parsed.
+
+    The blocks x1, ..., xk are non-empty words over {a, b}, none a proper
+    prefix of an earlier one, each followed by |xi| $.  `queries(x)` lists
+    the queries that match block x.  Without `skim` the word ends ⊳ y; with
+    it, ¢ z ▷ y for any z over {a, b, $}.
+    """
+    members = set()
+
+    def close(xs, body):
+        for y in {y for x in xs for y in queries(x)}:
+            if not skim:
+                members.add(body + "⊳" + y)
+                continue
+            for z in words_over("ab$", max_len - len(body) - len(y) - 2):
+                members.add(body + "¢" + z + "▷" + y)
+
+    def extend(xs, body):
+        close(xs, body)
+        taken = {e[:k] for e in xs for k in range(1, len(e))}
+        for x in words_over("ab", (max_len - len(body) - 2) // 2):
+            if x and x not in taken:
+                extend(xs + [x], body + x + "$" * len(x))
+
+    extend([], "")
+    return {w for w in members if len(w) <= max_len}
+
+
+def encode_blocks(x):
+    """The block-symbol words whose image under 0↦aa, 1↦ab, 2↦ba, 3↦bb is x."""
+    if len(x) % 2:
+        return []
+    pairs = {"aa": "0", "ab": "1", "ba": "2", "bb": "3"}
+    return ["".join(pairs[x[i : i + 2]] for i in range(0, len(x), 2))]
+
+
+@pytest.mark.parametrize(
+    "name, queries, skim, member_len, viable_len, word_len",
+    [
+        ("lp", lambda x: [x], False, 9, 16, 5),
+        ("lp-hat", lambda x: [x], True, 8, 14, 4),
+        ("lh-tilde", encode_blocks, False, 6, None, None),
+    ],
+    ids=["lp", "lp-hat", "lh-tilde"],
+)
+def test_padded_dictionary_matches_a_generator(
+    name, queries, skim, member_len, viable_len, word_len
+):
+    """Membership equals the generated members exactly, and a short word is
+    viable exactly when it begins some generated member."""
+    oracle = ORACLES[name]()
+    expected = padded_members(member_len, queries, skim)
+    assert expected
+    got = {w for w in words_over(oracle.alphabet, member_len) if oracle.membership(w)}
+    assert got == expected
+    if viable_len is None:
+        return
+    prefixes = {
+        w[:i] for w in padded_members(viable_len, queries, skim) for i in range(len(w) + 1)
+    }
+    for w in words_over(oracle.alphabet, word_len):
+        assert oracle.viable_prefix(w) is (w in prefixes), w
+
+
 @pytest.mark.parametrize("name", ["expo", "fib", "cub"])
 def test_unary_oracles(name):
     oracle = ORACLES[name]()

@@ -9,13 +9,27 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from test_machinefile import _random_rows
+from test_machinefile import _actions, _random_rows, _states
 from twsda.analysis import enumerate_accepted, machines_agree
 from twsda.builders import BUILTINS
-from twsda.combinators import complement, left_quotient
-from twsda.machine import END, LAMBDA, Machine, SpecificityConflict, machine_from_rows, validate
+from twsda.combinators import (
+    Dfa,
+    PrefixKillsMachine,
+    complement,
+    intersect_regular,
+    left_quotient,
+)
+from twsda.machine import (
+    END,
+    LAMBDA,
+    Machine,
+    SpecificityConflict,
+    TransitionRow,
+    machine_from_rows,
+    validate,
+)
 from twsda.simulate import Verdict, run
 from twsda.tree import ROOT_LABEL
 
@@ -150,8 +164,34 @@ def test_quotient_and_complement_commute():
         assert machines_agree(one, two, max_len) == []
 
 
+# Even number of a's, over the random machines' alphabet.
+EVEN_A = Dfa(
+    ("even", "odd"), ("a", "b", "¢", "⊳"),
+    {
+        (p, sym): ("odd" if p == "even" else "even") if sym == "a" else p
+        for p in ("even", "odd") for sym in ("a", "b", "¢", "⊳")
+    },
+    "even", frozenset({"even"}),
+)
+
+
+@st.composite
+def _busy_rows(draw):
+    """`_random_rows` over a layer of catch-all rows, one for most (state,
+    symbol) pairs, so that runs get past their first step and some accept.
+    The random rows are more specific and override the layer."""
+    rows = draw(_random_rows())
+    for state in ("q0", "q1", "loop", "final"):
+        for sym in ("a", "b", "¢", "⊳", END):
+            if draw(st.integers(0, 3)):
+                rows.append(
+                    TransitionRow(state, sym, "*", "*", "*", "*", draw(_states), draw(_actions))
+                )
+    return rows
+
+
 @settings(max_examples=60, deadline=None)
-@given(_random_rows())
+@given(_busy_rows())
 def test_random_real_time_machines_match_the_reference(rows):
     """Random tables, pops and actions illegal at their own shape included."""
     try:
@@ -169,6 +209,20 @@ def test_random_real_time_machines_match_the_reference(rows):
     ]
     for word in words:
         agree(machine, word)
-    accepted = [w for w in words if naive_run(machine, w)[0] == "accepted"]
-    assert enumerate_accepted(machine, 3) == accepted
     assert sorted(machines_agree(machine, complement(machine), 3)) == sorted(words)
+    # Most random tables accept few words, so enumeration and the closure
+    # operations are also checked on the complement, which accepts most.
+    for m in (machine, complement(machine)):
+        accepted = [w for w in words if naive_run(m, w)[0] == "accepted"]
+        assert enumerate_accepted(m, 3) == accepted
+        even = [w for w in accepted if w.count("a") % 2 == 0]
+        assert enumerate_accepted(intersect_regular(m, EVEN_A), 3) == even
+        for prefix in words[:21]:  # every prefix up to length 2
+            suffixes = [u for u in words if len(prefix) + len(u) <= 3]
+            try:
+                quotient = left_quotient(m, prefix)
+            except PrefixKillsMachine:
+                assert all(prefix + u not in accepted for u in suffixes), prefix
+                continue
+            for u in suffixes:
+                assert run(quotient, u).accepted is (prefix + u in accepted), (prefix, u)
