@@ -65,7 +65,6 @@ from .simulate import (
     Verdict,
     final_tree,
     run,
-    step,
 )
 from .tree import (
     DOWN_L,

@@ -78,6 +78,8 @@ def class_upper_bound(state_count: int, tree_symbol_count: int, ell: int) -> int
 
 
 def _extensions(alphabet: Sequence[str], ell: int) -> list[str]:
+    if ell < 0:
+        raise ValueError("ell must be >= 0")
     out = [""]
     for length in range(1, ell + 1):
         out.extend("".join(p) for p in itertools.product(alphabet, repeat=length))
@@ -91,8 +93,6 @@ def l_equivalent(
 
     ℓ = 0 is allowed as a degenerate case and compares membership only.
     """
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
     member = oracle.membership
     return all(
         member(w1 + u) == member(w2 + u) for u in _extensions(extension_alphabet, ell)
@@ -216,7 +216,7 @@ class _RerunWalker:
 
 def _walker(machine: Machine, run_budget: int | float | None):
     if machine.real_time:
-        return Configuration(machine, "")
+        return Configuration(machine)
     return _RerunWalker(machine, run_budget)
 
 
@@ -335,7 +335,7 @@ def machines_agree(
         raise ValueError("machines have different alphabets")
     if not (first.real_time and second.real_time):
         raise ValueError("prefix walking requires a real-time machine")
-    a, b = Configuration(first, ""), Configuration(second, "")
+    a, b = Configuration(first), Configuration(second)
     differ: list[str] = []
 
     def push(sym: str) -> None:

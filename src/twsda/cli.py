@@ -120,7 +120,7 @@ def cmd_trace(args) -> int:
     word = parse_word(args.word)
     out = run(machine, word, budget=_budget_for(machine, args), traced=True)
     # Snapshots replay each recorded action on a fresh copy of the storage.
-    storage = Configuration(machine, word)
+    storage = Configuration(machine)
     for rec in out.trace:
         line = (
             f"step={rec.step_index} state={rec.state_before} "

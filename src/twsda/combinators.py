@@ -8,13 +8,12 @@ from .machine import (
     ANCESTRIES,
     END,
     FLAGS,
-    LAMBDA,
     Machine,
     TransitionKey,
     validate,
 )
-from .simulate import Configuration, EndmarkerInInput, step
-from .tree import ROOT_LABEL, STAY, NodeType, WellFormednessViolation, action_is_legal
+from .simulate import Verdict, _run
+from .tree import ROOT_LABEL, STAY, NodeType, action_is_legal
 
 
 class NotRealTime(ValueError):
@@ -90,19 +89,12 @@ def complement(machine: Machine) -> Machine:
                     NodeType(anc, hl, hr), transitions[key][1]
                 ):
                     transitions[key] = (sink, STAY)
-    accepting = frozenset(set(machine.states) - machine.accepting) | {sink}
-    result = Machine(
+    result = replace(
+        machine,
         name=f"non-{machine.name}",
         states=machine.states + (sink,),
-        input_alphabet=machine.input_alphabet,
-        tree_alphabet=machine.tree_alphabet,
         transitions=transitions,
-        start=machine.start,
-        accepting=accepting,
-        real_time=True,
-        non_erasing=machine.non_erasing,
-        initial_tree=machine.initial_tree,
-        initial_pointer=machine.initial_pointer,
+        accepting=frozenset(set(machine.states) - machine.accepting) | {sink},
     )
     assert not validate(result)
     return result
@@ -136,20 +128,15 @@ def intersect_regular(machine: Machine, dfa: Dfa) -> Machine:
                 key.has_left, key.has_right, key.label,
             )
             transitions[new_key] = (pair(target, p2), action)
-    result = Machine(
+    result = replace(
+        machine,
         name=f"{machine.name}&dfa",
         states=tuple(pair(q, p) for q in machine.states for p in dfa.states),
-        input_alphabet=machine.input_alphabet,
-        tree_alphabet=machine.tree_alphabet,
         transitions=transitions,
         start=pair(machine.start, dfa.start),
         accepting=frozenset(
             pair(q, p) for q in machine.accepting for p in dfa.accepting
         ),
-        real_time=machine.real_time,
-        non_erasing=machine.non_erasing,
-        initial_tree=machine.initial_tree,
-        initial_pointer=machine.initial_pointer,
     )
     assert not validate(result)
     return result
@@ -161,39 +148,25 @@ def intersect_regular(machine: Machine, dfa: Dfa) -> Machine:
 def left_quotient(machine: Machine, prefix: Sequence[str], budget=None) -> Machine:
     """Machine accepting { u | prefix·u ∈ L(machine) }.
 
-    Runs `machine` over `prefix` (without ever offering the endmarker) and
-    freezes the reached configuration as the new machine's starting state
-    and storage.  Raises PrefixKillsMachine when the machine halts or
-    aborts before the prefix is consumed: every quotient word would be
-    rejected anyway, and no single frozen configuration can express that.
+    Runs `machine` over `prefix` as `run` does, refusing the same
+    arguments, but stops as soon as the prefix is consumed: the endmarker
+    belongs after the quotient word instead.  The reached configuration
+    becomes the new machine's starting state and storage.  Raises
+    PrefixKillsMachine when the machine halts or aborts before the prefix
+    is consumed: every quotient word would be rejected anyway, and no
+    single frozen configuration can express that.  Raises ValueError when
+    `budget` steps do not consume the prefix.
     """
-    for sym in prefix:
-        if sym in (END, LAMBDA):
-            raise EndmarkerInInput(f"prefix may not contain {sym!r}")
-        if sym not in machine.input_alphabet:
-            raise ValueError(f"symbol {sym!r} not in the input alphabet")
-    if budget is None:
-        if not machine.real_time:
-            raise ValueError("machine is not real-time: pass an explicit step budget")
-        budget = len(prefix)
-
-    # The loop stops before the prefix is exhausted, so the stepper never
-    # offers the endmarker: it belongs after the quotient word instead.
-    config = Configuration(machine, prefix)
-    steps = 0
-    while config.pos < len(prefix):
-        if steps >= budget:
-            raise ValueError(f"prefix not consumed within {budget} steps")
-        try:
-            advanced = step(machine, config)
-        except WellFormednessViolation as exc:
-            raise PrefixKillsMachine(f"machine aborted inside the prefix: {exc}")
-        if advanced is None:
-            raise PrefixKillsMachine(
-                f"machine halted in state {config.state!r} after consuming "
-                f"{config.pos} of {len(prefix)} prefix symbols"
-            )
-        steps += 1
+    verdict, config, _, pos = _run(machine, prefix, budget, None, endmarker=False)
+    if verdict is Verdict.BUDGET_EXHAUSTED:
+        raise ValueError(f"prefix not consumed within {budget} steps")
+    if verdict is Verdict.WELL_FORMEDNESS_VIOLATION:
+        raise PrefixKillsMachine(f"machine aborted inside the prefix: {config.violation}")
+    if pos < len(prefix):
+        raise PrefixKillsMachine(
+            f"machine halted in state {config.state!r} after consuming "
+            f"{pos} of {len(prefix)} prefix symbols"
+        )
 
     shown = "".join(prefix) if all(len(s) == 1 for s in prefix) else "|".join(prefix)
     result = replace(
@@ -201,7 +174,7 @@ def left_quotient(machine: Machine, prefix: Sequence[str], budget=None) -> Machi
         name=f"{machine.name}-after-{shown or 'λ'}",
         start=config.state,
         initial_tree=config.tree,
-        initial_pointer=config.path,
+        initial_pointer=config.node.path(),
     )
     assert not validate(result)
     return result

@@ -258,12 +258,15 @@ def validate(machine: Machine) -> list[Violation]:
         except AssertionError as exc:
             out.append(Violation(BAD_INITIAL_CONFIG, f"initial tree is inconsistent: {exc}"))
         else:
-            for path in tree.paths():
-                if path and tree.label_at(path) not in machine.tree_alphabet:
+            # breadth first, so shortest paths come first and 'l' before 'r'
+            nodes = [tree.root]
+            for node in nodes:
+                nodes.extend(c for c in (node.left, node.right) if c is not None)
+                if node.parent is not None and node.label not in machine.tree_alphabet:
                     out.append(
                         Violation(
                             BAD_INITIAL_CONFIG,
-                            f"initial tree node '{path}' labeled {tree.label_at(path)!r} "
+                            f"initial tree node '{node.path()}' labeled {node.label!r} "
                             "outside the tree alphabet",
                         )
                     )

@@ -1,11 +1,11 @@
 """Single-step and whole-run semantics.
 
-A configuration is (state, unread input, tree, pointer).  Each step looks
-the transition function up first under the head input symbol (or the
-endmarker), and only for machines not flagged real-time under λ; a symbol
-rule consumes the symbol, a λ rule consumes nothing.  A word is accepted
-exactly when the machine halts in an accepting state with the word and the
-endmarker consumed entirely.
+A configuration is a state, a storage tree and a pointer; the run feeds it
+the input.  Each step looks the transition function up first under the
+head input symbol (or the endmarker), and only for machines not flagged
+real-time under λ; a symbol rule consumes the symbol, a λ rule consumes
+nothing.  A word is accepted exactly when the machine halts in an
+accepting state with the word and the endmarker consumed entirely.
 """
 from __future__ import annotations
 
@@ -60,26 +60,24 @@ class RunOutcome:
 
 
 class Configuration:
-    """One run's mutable state, and the one stepper every caller uses.
+    """A machine's state, storage tree and pointer node, and the one
+    stepper every caller uses; the input is what the caller pushes.
 
     `push(sym)` makes one step reading `sym`; `pop()` takes the latest step
     back, undoing its structural edit, so a prefix walk advances and
     retreats by one symbol in O(1).  A configuration whose machine halted
     or aborted is dead: `dead` then counts the pushes since, and a
     deterministic machine that stopped rejects every extension.  The
-    pointer is a direct node reference; its path is computed from the node
-    only when asked for.
+    pointer's path is `node.path()`, computed only when asked for.
     """
 
     __slots__ = (
-        "state", "word", "pos", "tree", "node", "dead", "violation",
+        "state", "tree", "node", "dead", "violation",
         "_trans", "_accepting", "_real_time", "_undo",
     )
 
-    def __init__(self, machine: Machine, word: Sequence[str]):
+    def __init__(self, machine: Machine):
         self.state = machine.start
-        self.word = word
-        self.pos = 0
         if machine.initial_tree is not None:
             self.tree = machine.initial_tree.clone()
             self.node = self.tree.node_at(machine.initial_pointer)
@@ -93,30 +91,15 @@ class Configuration:
         self._real_time = machine.real_time
         self._undo: list = []
 
-    @property
-    def path(self) -> str:
-        return self.node.path()
-
-    def head(self) -> str | None:
-        """Next unread symbol: a word symbol, then END, then nothing."""
-        if self.pos < len(self.word):
-            return self.word[self.pos]
-        if self.pos == len(self.word):
-            return END
-        return None
-
-    def input_fully_consumed(self) -> bool:
-        return self.pos > len(self.word)
-
     def push(self, sym: str | None):
         """Make one step with `sym` (an input symbol, END, or None) at the head.
 
         The rule is looked up under `sym` first and, for machines not
         flagged real-time, under λ.  Returns (consumed, action), where
-        consumed is `sym` or LAMBDA; `pos` is the caller's to advance.
-        Returns None when the machine halts or aborts on an illegal action,
-        which leaves the configuration dead; `violation` holds the abort's
-        WellFormednessViolation, or None after a halt.
+        consumed is `sym` or LAMBDA, or None when the machine halts or
+        aborts on an illegal action, which leaves the configuration dead;
+        `violation` holds the abort's WellFormednessViolation, or None
+        after a halt.
         """
         if self.dead:
             self.dead += 1
@@ -192,30 +175,15 @@ class Configuration:
         return target in self._accepting and action_is_legal(node.node_type(), action)
 
 
-def step(machine: Machine, config: Configuration) -> Configuration | None:
-    """Advance `config`, made for `machine`, by one step in place; None
-    when the machine halts.
+def _run(machine: Machine, word: Sequence[str], budget, trace: list | None, endmarker=True):
+    """The run loop behind `run`, `final_tree` and `left_quotient`.
 
-    Raises WellFormednessViolation when the matched rule's action is
-    illegal at the current node.
-    """
-    moved = config.push(config.head())
-    if moved is None:
-        if config.violation is not None:
-            raise config.violation
-        return None
-    config._undo.pop()  # a run never backtracks
-    if moved[0] != LAMBDA:
-        config.pos += 1
-    return config
-
-
-def _run(machine: Machine, word: Sequence[str], budget, trace: list | None):
-    """The run loop behind `run` and `final_tree`.
-
-    Returns the verdict, the configuration the run stopped in, and the
-    number of steps taken; appends one StepRecord per step to `trace` when
-    it is a list.
+    Returns the verdict, the configuration the run stopped in, the number
+    of steps taken and the input position: the count of word symbols
+    consumed, plus one once the endmarker is.  Appends one StepRecord per
+    step to `trace` when it is a list.  Without `endmarker` the run stops
+    as soon as the word is consumed, before the endmarker or any λ move
+    after the last symbol; the verdict is then REJECTED.
     """
     for sym in word:
         if sym == END or sym == LAMBDA:
@@ -229,14 +197,18 @@ def _run(machine: Machine, word: Sequence[str], budget, trace: list | None):
     elif budget is not math.inf and budget < 1:
         raise ValueError("budget must be a positive number of steps")
 
-    config = Configuration(machine, word)
+    config = Configuration(machine)
     push, forget = config.push, config._undo.pop  # a run never backtracks
     n = len(word)
     pointer = machine.initial_pointer
-    steps = 0
+    steps = pos = 0
     while True:
-        pos = config.pos
-        sym = word[pos] if pos < n else END if pos == n else None
+        if pos < n:
+            sym = word[pos]
+        elif not endmarker:
+            break
+        else:
+            sym = END if pos == n else None
         if steps >= budget:
             # Halting still beats the budget: only a machine that would
             # keep moving counts as cut off.  The look-ahead step is taken
@@ -245,17 +217,17 @@ def _run(machine: Machine, word: Sequence[str], budget, trace: list | None):
                 config.pop()
             elif config.violation is None:
                 break
-            return Verdict.BUDGET_EXHAUSTED, config, steps
+            return Verdict.BUDGET_EXHAUSTED, config, steps, pos
         state_before = config.state
         moved = push(sym)
         if moved is None:
             if config.violation is not None:
-                return Verdict.WELL_FORMEDNESS_VIOLATION, config, steps
+                return Verdict.WELL_FORMEDNESS_VIOLATION, config, steps, pos
             break
         forget()
         consumed, action = moved
         if consumed != LAMBDA:
-            config.pos = pos + 1
+            pos += 1
         steps += 1
         if trace is not None:
             kind = action[0]
@@ -268,8 +240,8 @@ def _run(machine: Machine, word: Sequence[str], budget, trace: list | None):
             trace.append(
                 StepRecord(steps - 1, state_before, consumed, action, pointer, config.tree.size)
             )
-    accepted = config.input_fully_consumed() and config.state in machine.accepting
-    return (Verdict.ACCEPTED if accepted else Verdict.REJECTED), config, steps
+    accepted = pos > n and config.state in machine.accepting
+    return (Verdict.ACCEPTED if accepted else Verdict.REJECTED), config, steps, pos
 
 
 def run(
@@ -286,10 +258,9 @@ def run(
     is accepted at the caller's own risk).
     """
     trace: list[StepRecord] | None = [] if traced else None
-    verdict, config, steps = _run(machine, word, budget, trace)
+    verdict, config, steps, pos = _run(machine, word, budget, trace)
     return RunOutcome(
-        verdict, config.state, steps, config.input_fully_consumed(),
-        tuple(trace) if traced else None,
+        verdict, config.state, steps, pos > len(word), tuple(trace) if traced else None
     )
 
 

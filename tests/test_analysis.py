@@ -98,6 +98,14 @@ def test_l_equivalent_is_an_equivalence(ns):
         assert eq(w[0], w[2])
 
 
+def test_negative_ell_is_refused():
+    for ell in (-1, -2):
+        with pytest.raises(ValueError, match="ell must be >= 0"):
+            count_classes(oracle_expo(), ["a", "aa"], ell, ("a",))
+        with pytest.raises(ValueError, match="ell must be >= 0"):
+            l_equivalent(oracle_expo(), "a", "aa", ell, ("a",))
+
+
 def test_count_classes_singleton():
     part = count_classes(oracle_expo(), ["aaa"], 2, ("a",))
     assert part.count == 1
@@ -284,7 +292,7 @@ def test_lambda_machine_checks_follow_the_real_time_walk():
         with pytest.raises(ValueError, match="real-time"):
             machines_agree(first, second, 3)
     # the walker's endmarker lookup does not follow the λ hop that accepts "a"
-    config = Configuration(lam, "")
+    config = Configuration(lam)
     config.push("a")
     with pytest.raises(ValueError, match="real-time"):
         config.accepts_now()

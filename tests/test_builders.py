@@ -10,6 +10,7 @@ from twsda.analysis import (
 from twsda.builders import BUILTINS
 from twsda.machine import LAMBDA, validate
 from twsda.simulate import final_tree, run
+from twsda.tree import STAY
 
 MACHINES = {name: factory() for name, factory in BUILTINS.items()}
 
@@ -169,12 +170,12 @@ def test_mi_hat_pop_shrinks_by_one_each():
 
 
 def test_expo_first_step_consumes_and_stays():
-    from twsda.simulate import Configuration, step
+    from twsda.simulate import Configuration
 
     m = MACHINES["expo"]
-    config = Configuration(m, "a")
-    assert step(m, config) is config
-    assert config.pos == 1 and config.path == "" and config.tree.size == 1
+    config = Configuration(m)
+    assert config.push("a") == ("a", STAY)
+    assert config.node.path() == "" and config.tree.size == 1
 
 
 def test_expo_initial_delay_is_eight_stays():

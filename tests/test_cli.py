@@ -143,6 +143,15 @@ def test_classes_custom_extensions(tmp_path, capsys):
     assert code == 0 and out.splitlines()[0] == "classes=2"
 
 
+def test_classes_refuses_negative_ell(tmp_path, capsys):
+    sample = tmp_path / "sample.txt"
+    sample.write_text("a\naa\n", encoding="utf-8")
+    code, out, err = cli(
+        capsys, "classes", "--oracle", "expo", "--sample", str(sample), "--ell", "-1"
+    )
+    assert code == 2 and out == "" and "ell must be >= 0" in err
+
+
 # Accepts every word of a's, with a λ hop after each symbol.
 SLOW = """
 alphabet: a

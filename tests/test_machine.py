@@ -2,6 +2,7 @@
 import pytest
 
 from twsda.machine import (
+    BAD_INITIAL_CONFIG,
     DETERMINISM_CONFLICT,
     END,
     LAMBDA,
@@ -17,7 +18,7 @@ from twsda.machine import (
     machine_from_rows,
     validate,
 )
-from twsda.tree import POP, ROOT_LABEL, STAY, UP
+from twsda.tree import POP, ROOT_LABEL, STAY, UP, GammaTree, push
 
 
 def row(state, symbol, anc, hl, hr, label, target, action=STAY, origin=None):
@@ -160,6 +161,20 @@ def test_validate_unknown_symbols():
         non_erasing=True,
     )
     assert [v.kind for v in validate(m)] == [UNKNOWN_SYMBOL]
+
+
+def test_validate_reports_a_deep_label_outside_the_alphabet():
+    tree = GammaTree()
+    node = tree.root
+    for i in range(3000):
+        label = "z" if i in (1500, 2999) else "x"
+        node = tree.apply(node, push(label, "l" if i % 2 else "r"))[0]
+    deep = "rl" * 1500
+    m = simple_machine([], initial_tree=tree, initial_pointer=deep)
+    assert [(v.kind, v.message) for v in validate(m)] == [
+        (BAD_INITIAL_CONFIG, f"initial tree node '{path}' labeled 'z' outside the tree alphabet")
+        for path in (deep[:1501], deep)
+    ]
 
 
 def test_validate_endmarker_key_is_fine():

@@ -1,8 +1,10 @@
 """Witness-language predicates, homomorphisms, and viability soundness."""
 import itertools
+import tracemalloc
 
 import pytest
 
+from twsda.analysis import fibonacci
 from twsda.oracles import (
     ORACLES,
     lh_class_sample,
@@ -242,6 +244,46 @@ def test_padded_dictionary_matches_a_generator(
     }
     for w in words_over(oracle.alphabet, word_len):
         assert oracle.viable_prefix(w) is (w in prefixes), w
+
+
+def test_mi_hat_matches_a_generator():
+    """Membership equals the members x ¢ v $ v^R ▶ built from the definition,
+    and a short word is viable exactly when it begins one of them."""
+    oracle = oracle_mi_hat()
+
+    def members(max_len):
+        out = set()
+        for v in words_over("ab", (max_len - 3) // 2):
+            tail = "¢" + v + "$" + v[::-1] + "▶"
+            out.update(x + tail for x in words_over("ab$", max_len - len(tail)))
+        return out
+
+    expected = members(8)
+    got = {w for w in words_over(oracle.alphabet, 8) if oracle.membership(w)}
+    assert got == expected
+    # a viable word of length 5 is completed by at most 6 more symbols
+    prefixes = {w[:i] for w in members(11) for i in range(len(w) + 1)}
+    for w in words_over(oracle.alphabet, 5):
+        assert oracle.viable_prefix(w) is (w in prefixes), w
+
+
+def test_fib_membership_matches_the_fibonacci_numbers():
+    fibs = {fibonacci(i) for i in range(1, 25)}  # fibonacci(24) = 46 368 > 5 000
+    member = ORACLES["fib"]().membership
+    for n in range(10_001):
+        assert member("a" * n) == (n > 0 and n % 2 == 0 and n // 2 in fibs), n
+
+
+def test_fib_membership_keeps_no_state_per_length():
+    member = ORACLES["fib"]().membership
+    tracemalloc.start()
+    try:
+        for n in range(20_002, 30_002, 2):  # 5 000 even lengths no other test asks
+            member("a" * n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("name", ["expo", "fib", "cub"])

@@ -17,7 +17,6 @@ from twsda.simulate import (
     Verdict,
     final_tree,
     run,
-    step,
 )
 from twsda.tree import DOWN_R, ROOT_LABEL, STAY, UP, push
 
@@ -54,13 +53,14 @@ def test_halt_with_unread_input_rejects_even_in_accepting_state():
 
 def test_symbol_consumption_and_step_function():
     m = mk([row("q0", "a", "q1"), row("q1", END, "yes")], accept=("yes",))
-    config = Configuration(m, "a")
-    assert config.head() == "a"
-    assert step(m, config) is config
-    assert config.state == "q1" and config.head() == END
-    assert step(m, config) is config
-    assert config.state == "yes" and config.head() is None
-    assert step(m, config) is None
+    config = Configuration(m)
+    assert config.push("a") == ("a", STAY)
+    assert config.state == "q1"
+    assert config.push(END) == (END, STAY)
+    assert config.state == "yes"
+    assert config.push(None) is None  # nothing left to read: the machine halts
+    out = run(m, "a")
+    assert out.accepted and out.input_fully_consumed and out.steps_taken == 2
 
 
 def test_lambda_steps_consume_nothing_and_need_budget():
@@ -160,10 +160,12 @@ def test_real_time_default_budget_rejects_mid_word_halt():
 def test_trace_pointer_is_the_node_path(machine, word):
     out = run(machine, word, traced=True)
     assert out.accepted
-    config = Configuration(machine, word)
+    config = Configuration(machine)
     paths = []
-    while step(machine, config) is not None:
+    for sym in [*word, END]:
+        assert config.push(sym) is not None
         paths.append(config.node.path())
+    assert config.push(None) is None
     assert [rec.pointer_after for rec in out.trace] == paths
 
 
@@ -179,9 +181,9 @@ def test_final_tree_is_the_storage_where_the_run_stops():
     assert run(late, "aa", budget=1).verdict is Verdict.BUDGET_EXHAUSTED
     assert final_tree(late, "aa", budget=1).snapshot() == f"({ROOT_LABEL} (x . .) .)"
     expo, word = build_expo(), "a" * 32
-    config = Configuration(expo, word)
-    for budget in range(1, 34):
-        assert step(expo, config) is config
+    config = Configuration(expo)
+    for budget, sym in enumerate([*word, END], start=1):
+        assert config.push(sym) is not None
         if budget < 33:
             assert run(expo, word, budget=budget).verdict is Verdict.BUDGET_EXHAUSTED
         assert final_tree(expo, word, budget=budget).snapshot() == config.tree.snapshot()
