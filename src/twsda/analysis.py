@@ -232,6 +232,8 @@ def _prefix_dfs(symbols, max_len, budget, push, pop, visit):
     """
     if any(len(s) != 1 for s in symbols):
         raise ValueError("prefix enumeration expects single-character symbols")
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
     budget = math.inf if budget is None else budget
     if budget < 1:
         raise BudgetExceeded(f"visited more than {budget} prefixes")

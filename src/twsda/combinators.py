@@ -13,7 +13,7 @@ from .machine import (
     validate,
 )
 from .simulate import Verdict, _run
-from .tree import ROOT_LABEL, STAY, NodeType, action_is_legal
+from .tree import ROOT_LABEL, STAY
 
 
 class NotRealTime(ValueError):
@@ -71,24 +71,21 @@ def complement(machine: Machine) -> Machine:
     """Machine accepting exactly the words `machine` does not accept.
 
     Real time makes every run halt by itself, so it suffices to route every
-    undefined lookup, and every rule whose action is illegal at its own
-    node shape (a run that aborts rejects), into a sink state that consumes
-    the rest of the input, and then to flip which states accept.
+    undefined lookup, and every abort entry of the step table (a run that
+    aborts rejects), into a sink state that consumes the rest of the input,
+    and then to flip which states accept.
     """
     if not machine.real_time:
         raise NotRealTime("complement is defined for real-time machines")
     sink = "sink"
     while sink in machine.states:
         sink += "+"
-    transitions = dict(machine.transitions)
+    transitions = {key: rhs for key, rhs in machine._table.items() if rhs[0] is not None}
     for state in machine.states + (sink,):
         for sym in machine.input_alphabet + (END,):
             for anc, hl, hr, label in _consistent_shapes(machine.tree_alphabet):
                 key = TransitionKey(state, sym, anc, hl, hr, label)
-                if key not in transitions or not action_is_legal(
-                    NodeType(anc, hl, hr), transitions[key][1]
-                ):
-                    transitions[key] = (sink, STAY)
+                transitions.setdefault(key, (sink, STAY))
     result = replace(
         machine,
         name=f"non-{machine.name}",

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .tree import ROOT_LABEL, GammaTree, format_action
@@ -130,6 +131,33 @@ class Machine:
     initial_tree: GammaTree | None = None
     initial_pointer: str = ""
 
+    @cached_property
+    def _table(self) -> dict:
+        """The step table: `transitions`, with target None marking each
+        entry whose action is illegal at its own key's shape (an abort)."""
+        return {
+            key: rhs if _legal(key, rhs[1]) else (None, rhs[1])
+            for key, rhs in self.transitions.items()
+        }
+
+
+def _legal(key: TransitionKey, action: tuple) -> bool:
+    """Whether `action` may fire at a node of the key's shape."""
+    kind = action[0]
+    if kind == "stay":
+        return True
+    if kind == "up":
+        return key.ancestry != "-"
+    if kind == "down-l":
+        return key.has_left == "+"
+    if kind == "down-r":
+        return key.has_right == "+"
+    if kind == "pop":
+        return key.ancestry != "-" and key.has_left == key.has_right == "-"
+    if kind == "push":
+        return (key.has_left if action[2] == "l" else key.has_right) == "-"
+    raise ValueError(f"unknown action {action!r}")
+
 
 def machine_from_rows(
     name: str,
@@ -192,8 +220,9 @@ def validate(machine: Machine) -> list[Violation]:
 
     Reports λ/symbol determinism conflicts, λ rules in real-time machines,
     pops in non-erasing machines, and references to unknown states or
-    symbols.  Dynamic properties (actions staying legal along every run)
-    are enforced by the simulator instead.
+    symbols.  A rule whose action is illegal at its own key's shape is not
+    reported: legality is a property of the key, and a run that reaches
+    such a rule aborts with a WellFormednessViolation.
     """
     out: list[Violation] = []
     states = set(machine.states)

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .machine import END, LAMBDA, Machine
-from .tree import GammaTree, WellFormednessViolation, action_is_legal
+from .tree import GammaTree, WellFormednessViolation
 
 
 class EndmarkerInInput(ValueError):
@@ -86,7 +86,7 @@ class Configuration:
             self.node = self.tree.root
         self.dead = 0
         self.violation: WellFormednessViolation | None = None
-        self._trans = machine.transitions
+        self._trans = machine._table
         self._accepting = machine.accepting
         self._real_time = machine.real_time
         self._undo: list = []
@@ -94,10 +94,11 @@ class Configuration:
     def push(self, sym: str | None):
         """Make one step with `sym` (an input symbol, END, or None) at the head.
 
-        The rule is looked up under `sym` first and, for machines not
-        flagged real-time, under λ.  Returns (consumed, action), where
-        consumed is `sym` or LAMBDA, or None when the machine halts or
-        aborts on an illegal action, which leaves the configuration dead;
+        The rule is looked up in the machine's step table under `sym`
+        first and, for machines not flagged real-time, under λ.  Returns
+        (consumed, action), where consumed is `sym` or LAMBDA, or None when
+        the machine halts or hits an abort entry (an action illegal at the
+        node's shape), which leaves the configuration dead;
         `violation` holds the abort's WellFormednessViolation, or None
         after a halt.
         """
@@ -127,12 +128,11 @@ class Configuration:
             self.dead = 1
             return None
         target, action = hit
-        try:
-            new_node, record = self.tree.apply(node, action)
-        except WellFormednessViolation as exc:
-            self.violation = exc
+        if target is None:
+            self.violation = WellFormednessViolation(action, node.node_type(), node.path())
             self.dead = 1
             return None
+        new_node, record = self.tree.apply(node, action)
         self._undo.append((self.state, node, record))
         self.state = target
         self.node = new_node
@@ -169,10 +169,7 @@ class Configuration:
                 node.label,
             )
         )
-        if hit is None:
-            return False
-        target, action = hit
-        return target in self._accepting and action_is_legal(node.node_type(), action)
+        return hit is not None and hit[0] in self._accepting
 
 
 def _run(machine: Machine, word: Sequence[str], budget, trace: list | None, endmarker=True):

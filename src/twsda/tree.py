@@ -4,6 +4,9 @@ The storage is a finite, non-empty, prefix-closed set of paths over
 ``{l, r}``.  The root (empty path) carries the reserved label ``⊥`` and is
 never removed; every other node carries a label from the machine's tree
 alphabet.  All navigation and edit operations at the pointer are O(1).
+Whether an action is legal depends only on the shape of its node, which
+every transition key spells out, so a machine decides it once per key
+(`Machine._table`) and `GammaTree.apply` does not check it.
 """
 from __future__ import annotations
 
@@ -52,7 +55,7 @@ class PathAbsent(KeyError):
 
 
 class WellFormednessViolation(Exception):
-    """An action was applied at a node whose shape forbids it."""
+    """A step fired an action that its node's shape forbids."""
 
     def __init__(self, action: tuple, ntype: NodeType, path: str):
         self.action = action
@@ -90,25 +93,6 @@ class TreeNode:
         return "".join(reversed(parts))
 
 
-def action_is_legal(ntype: NodeType, action: tuple) -> bool:
-    """Whether `action` may fire at a node of shape `ntype` without
-    violating well-formedness."""
-    kind = action[0]
-    if kind == "stay":
-        return True
-    if kind == "up":
-        return ntype.ancestry != "-"
-    if kind == "down-l":
-        return ntype.has_left == "+"
-    if kind == "down-r":
-        return ntype.has_right == "+"
-    if kind == "pop":
-        return ntype.ancestry != "-" and ntype.has_left == ntype.has_right == "-"
-    if kind == "push":
-        return (ntype.has_left if action[2] == "l" else ntype.has_right) == "-"
-    raise ValueError(f"unknown action {action!r}")
-
-
 class GammaTree:
     """Mutable tree storage; starts as a single ⊥-labeled root."""
 
@@ -123,7 +107,7 @@ class GammaTree:
     def node_at(self, path: str) -> TreeNode:
         node = self.root
         for step in path:
-            node = node.left if step == "l" else node.right
+            node = node.left if step == "l" else node.right if step == "r" else None
             if node is None:
                 raise PathAbsent(path)
         return node
@@ -135,52 +119,28 @@ class GammaTree:
         except PathAbsent:
             return False
 
-    def label_at(self, path: str) -> str:
-        return self.node_at(path).label
-
-    def paths(self) -> list[str]:
-        """All node paths, shortest first, 'l' before 'r'."""
-        out = []
-        stack = [(self.root, "")]
-        while stack:
-            node, path = stack.pop()
-            out.append(path)
-            if node.right is not None:
-                stack.append((node.right, path + "r"))
-            if node.left is not None:
-                stack.append((node.left, path + "l"))
-        out.sort(key=lambda p: (len(p), p))
-        return out
-
     # -- mutation ----------------------------------------------------------
 
     def apply(self, node: TreeNode, action: tuple):
         """Apply `action` at `node`; returns the new pointer node and an
         undo record for `undo`.
 
-        Raises WellFormednessViolation when the node's shape forbids the
-        action (moving off the tree, popping a non-leaf or the root,
-        pushing over an existing child).
+        Unchecked: the action must be legal at the node's shape.  A move
+        needs its target node, a push needs its side free, and a pop needs
+        a leaf other than the root.  A machine's step table decides this
+        once per transition key (`Machine._table`).
         """
         kind = action[0]
         if kind == "stay":
             return node, None
         if kind == "up":
-            if node.parent is None:
-                raise WellFormednessViolation(action, node.node_type(), node.path())
             return node.parent, None
         if kind == "down-l":
-            if node.left is None:
-                raise WellFormednessViolation(action, node.node_type(), node.path())
             return node.left, None
         if kind == "down-r":
-            if node.right is None:
-                raise WellFormednessViolation(action, node.node_type(), node.path())
             return node.right, None
         if kind == "push":
             side = action[2]
-            if (node.left if side == "l" else node.right) is not None:
-                raise WellFormednessViolation(action, node.node_type(), node.path())
             child = TreeNode(action[1], side, node)
             if side == "l":
                 node.left = child
@@ -188,17 +148,14 @@ class GammaTree:
                 node.right = child
             self.size += 1
             return child, ("push", child)
-        if kind == "pop":
-            if node.parent is None or node.left is not None or node.right is not None:
-                raise WellFormednessViolation(action, node.node_type(), node.path())
-            parent = node.parent
-            if node.side == "l":
-                parent.left = None
-            else:
-                parent.right = None
-            self.size -= 1
-            return parent, ("pop", node)
-        raise ValueError(f"unknown action {action!r}")
+        # pop
+        parent = node.parent
+        if node.side == "l":
+            parent.left = None
+        else:
+            parent.right = None
+        self.size -= 1
+        return parent, ("pop", node)
 
     def undo(self, record) -> None:
         """Revert a structural edit made by `apply`."""

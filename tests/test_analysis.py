@@ -230,6 +230,20 @@ def test_enumerate_accepted_length_zero():
     assert enumerate_accepted(accepts_empty, 0) == [""]
 
 
+def test_negative_max_len_is_refused():
+    expo = build_expo()
+    expo_lambda = dataclasses.replace(expo, real_time=False)
+    for max_len in (-1, -2):
+        with pytest.raises(ValueError, match="max_len must be >= 0"):
+            enumerate_accepted(expo, max_len)
+        with pytest.raises(ValueError, match="max_len must be >= 0"):
+            enumerate_accepted(expo_lambda, max_len, run_budget=8)
+        with pytest.raises(ValueError, match="max_len must be >= 0"):
+            cross_check(expo, ORACLES["expo"](), max_len)
+        with pytest.raises(ValueError, match="max_len must be >= 0"):
+            machines_agree(expo, expo, max_len)
+
+
 def test_budget_exceeded():
     expo, oracle = build_expo(), ORACLES["expo"]()
     expo_lambda = dataclasses.replace(expo, real_time=False)

@@ -152,6 +152,11 @@ def test_classes_refuses_negative_ell(tmp_path, capsys):
     assert code == 2 and out == "" and "ell must be >= 0" in err
 
 
+def test_enum_refuses_negative_max_len(capsys):
+    code, out, err = cli(capsys, "enum", "builtin:expo", "--max-len", "-2")
+    assert code == 2 and out == "" and "max_len must be >= 0" in err
+
+
 # Accepts every word of a's, with a λ hop after each symbol.
 SLOW = """
 alphabet: a

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from twsda.analysis import cross_check, machines_agree
+from twsda.analysis import cross_check, enumerate_accepted, machines_agree
 from twsda.builders import build_expo, build_fib, build_mi_hat, build_trie_p
 from twsda.combinators import (
     AlphabetMismatch,
@@ -16,10 +16,10 @@ from twsda.combinators import (
     intersect_regular,
     left_quotient,
 )
-from twsda.machine import TransitionRow, machine_from_rows, validate
+from twsda.machine import END, TransitionRow, machine_from_rows, validate
 from twsda.machinefile import export_machine, parse_machine
-from twsda.simulate import Verdict, run
-from twsda.tree import ROOT_LABEL, STAY
+from twsda.simulate import Configuration, Verdict, run
+from twsda.tree import ROOT_LABEL, STAY, UP
 
 
 def even_dfa():
@@ -85,6 +85,23 @@ def test_complement_accepts_where_the_machine_aborts():
         assert run(m, word).verdict is Verdict.WELL_FORMEDNESS_VIOLATION
         assert run(c, word).accepted
     assert len(machines_agree(m, c, 3)) == 4
+    # an END rule that enters an accepting state but walks off the root
+    # aborts as well: no word is accepted, so the complement accepts all
+    rows = [
+        TransitionRow("q", "a", "-", "*", "*", ROOT_LABEL, "q", STAY),
+        TransitionRow("q", END, "-", "*", "*", ROOT_LABEL, "acc", UP),
+    ]
+    m = machine_from_rows("up-at-end", "a", (), "q", ["acc"], rows, True, True)
+    c = complement(m)
+    for word in ("", "a", "aa"):
+        assert run(m, word).verdict is Verdict.WELL_FORMEDNESS_VIOLATION
+        config = Configuration(m)
+        for sym in word:
+            config.push(sym)
+        assert not config.accepts_now()
+        assert run(c, word).accepted
+    assert enumerate_accepted(m, 3) == []
+    assert enumerate_accepted(c, 3) == ["", "a", "aa", "aaa"]
 
 
 def test_complement_requires_real_time():

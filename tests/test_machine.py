@@ -1,6 +1,9 @@
 """Transition tables: wildcard expansion, specificity, validation."""
+import dataclasses
+
 import pytest
 
+from twsda.builders import build_expo
 from twsda.machine import (
     BAD_INITIAL_CONFIG,
     DETERMINISM_CONFLICT,
@@ -174,6 +177,16 @@ def test_validate_reports_a_deep_label_outside_the_alphabet():
     assert [(v.kind, v.message) for v in validate(m)] == [
         (BAD_INITIAL_CONFIG, f"initial tree node '{path}' labeled 'z' outside the tree alphabet")
         for path in (deep[:1501], deep)
+    ]
+
+
+def test_validate_reports_a_pointer_off_the_l_r_alphabet():
+    machine = build_expo()
+    tree = GammaTree()
+    tree.apply(tree.root, push(machine.tree_alphabet[0], "r"))
+    m = dataclasses.replace(machine, initial_tree=tree, initial_pointer="x")
+    assert [(v.kind, v.message) for v in validate(m)] == [
+        (BAD_INITIAL_CONFIG, "initial pointer 'x' not in the initial tree")
     ]
 
 

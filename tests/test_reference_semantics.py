@@ -37,7 +37,13 @@ from twsda.tree import ROOT_LABEL
 def naive_run(machine: Machine, word: str, budget=None):
     """Reference semantics: returns (verdict_name, steps)."""
     if machine.initial_tree is not None:
-        tree = {p: machine.initial_tree.label_at(p) for p in machine.initial_tree.paths()}
+        tree, stack = {}, [(machine.initial_tree.root, "")]
+        while stack:
+            node, path = stack.pop()
+            tree[path] = node.label
+            for side, child in (("l", node.left), ("r", node.right)):
+                if child is not None:
+                    stack.append((child, path + side))
         pointer = machine.initial_pointer
     else:
         tree = {"": ROOT_LABEL}

@@ -2,6 +2,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from test_reference_semantics import naive_run
+from twsda.machine import TransitionRow, machine_from_rows
+from twsda.simulate import Configuration
 from twsda.tree import (
     DOWN_L,
     DOWN_R,
@@ -13,13 +16,32 @@ from twsda.tree import (
     NodeType,
     PathAbsent,
     WellFormednessViolation,
-    action_is_legal,
     push,
 )
 
 
 def labels(tree: GammaTree) -> dict[str, str]:
-    return {p: tree.label_at(p) for p in tree.paths()}
+    out, stack = {}, [(tree.root, "")]
+    while stack:
+        node, path = stack.pop()
+        out[path] = node.label
+        for side, child in (("l", node.left), ("r", node.right)):
+            if child is not None:
+                stack.append((child, path + side))
+    return out
+
+
+def one_rule_machine(tree: GammaTree, path: str, action: tuple):
+    """A machine whose one rule fires `action` on `a` at any node, started
+    on a copy of `tree` with the pointer at `path`."""
+    rule = TransitionRow("q", "a", "*", "*", "*", "*", "q", action)
+    return machine_from_rows("one-rule", "a", "x", "q", (), [rule], True, False, tree, path)
+
+
+def step_once(tree: GammaTree, path: str, action: tuple) -> Configuration:
+    config = Configuration(one_rule_machine(tree, path, action))
+    config.push("a")
+    return config
 
 
 def test_fresh_tree_is_single_root():
@@ -76,17 +98,15 @@ def test_push_appends_and_descends():
 
 
 def test_pop_at_root_is_a_violation():
-    tree = GammaTree()
-    with pytest.raises(WellFormednessViolation):
-        tree.apply(tree.root, POP)
+    config = step_once(GammaTree(), "", POP)
+    assert isinstance(config.violation, WellFormednessViolation)
 
 
 def test_pop_requires_leaf():
     tree = complete_tree(2)
-    with pytest.raises(WellFormednessViolation):
-        tree.apply(tree.root, POP)
-    node, _ = tree.apply(tree.node_at("l"), POP)
-    assert node.path() == "" and tree.size == 2
+    assert isinstance(step_once(tree, "", POP).violation, WellFormednessViolation)
+    config = step_once(tree, "l", POP)
+    assert config.node.path() == "" and config.tree.size == 2
 
 
 @pytest.mark.parametrize(
@@ -95,27 +115,26 @@ def test_pop_requires_leaf():
 def test_action_legality_matches_apply(action):
     for builder in (GammaTree, lambda: complete_tree(2)):
         tree = builder()
-        for path in tree.paths():
-            node = tree.node_at(path)
-            legal = action_is_legal(node.node_type(), action)
-            twin = tree.clone()
-            try:
-                twin.apply(twin.node_at(path), action)
-                assert legal
-            except WellFormednessViolation:
-                assert not legal
+        for path in labels(tree):
+            machine = one_rule_machine(tree, path, action)
+            config = Configuration(machine)
+            legal = config.push("a") is not None
+            assert isinstance(config.violation, WellFormednessViolation) is not legal
+            assert (naive_run(machine, "a")[0] != "well-formedness-violation") is legal
 
 
 def test_push_existing_side_is_a_violation():
-    tree = complete_tree(2)
-    with pytest.raises(WellFormednessViolation):
-        tree.apply(tree.root, push("x", "l"))
+    config = step_once(complete_tree(2), "", push("x", "l"))
+    assert isinstance(config.violation, WellFormednessViolation)
 
 
 def test_path_absent():
     tree = GammaTree()
     with pytest.raises(PathAbsent):
         tree.node_at("lr")
+    tree.apply(tree.root, push("x", "r"))
+    with pytest.raises(PathAbsent):
+        tree.node_at("x")
 
 
 def test_snapshot_round_trip():
@@ -151,11 +170,15 @@ def test_random_walk_keeps_invariants(moves):
         action = actions[code]
         node = tree.node_at(path)
         size = tree.size
-        if not action_is_legal(node.node_type(), action):
-            with pytest.raises(WellFormednessViolation):
-                tree.apply(node, action)
+        machine = one_rule_machine(tree, path, action)
+        config = Configuration(machine)
+        config.push("a")
+        if naive_run(machine, "a")[0] == "well-formedness-violation":
+            assert isinstance(config.violation, WellFormednessViolation)
             continue
+        assert config.violation is None
         new_path = tree.apply(node, action)[0].path()
+        assert config.node.path() == new_path
         # up and pop drop the last step; the rest append their side, if any
         assert new_path == (path[:-1] if code in ("u", "pop") else path + code[1:])
         path = new_path
