@@ -229,6 +229,13 @@ def _prefix_dfs(symbols, max_len, budget, push, pop, visit):
     machine state by one symbol.  `budget` caps the number of words
     visited (None for no cap); the first word past it raises
     BudgetExceeded.
+
+    The current word is one `str` whose first `depth` characters are the
+    prefix.  A pop only lowers `depth`.  The next push appends in place when
+    nothing was popped since; otherwise it cuts the prefix once, as `stem`,
+    and every later sibling is `stem + sym`.  So a visit costs O(1)
+    amortized on a deep path (a unary walk never copies the word), and one
+    concatenation no longer than the word on a bushy tree.
     """
     if any(len(s) != 1 for s in symbols):
         raise ValueError("prefix enumeration expects single-character symbols")
@@ -240,25 +247,38 @@ def _prefix_dfs(symbols, max_len, budget, push, pop, visit):
     if not visit("") or max_len == 0:
         return
     visited = 1
-    word: list[str] = []
+    word = ""
+    depth = 0
+    stem = None  # word[:depth] once cut; reset on moving to another node
     iterators = [iter(symbols)]
     while iterators:
         sym = next(iterators[-1], None)
         if sym is None:
             iterators.pop()
-            if word:
-                word.pop()
+            if depth:
+                depth -= 1
+                stem = None
                 pop()
             continue
         push(sym)
-        word.append(sym)
+        # `word += sym` is an in-place append in CPython only as a statement
+        # of its own that stores straight back to `word`
+        if stem is not None:
+            word = stem + sym
+        elif len(word) == depth:
+            word += sym
+        else:
+            stem = word[:depth]
+            word = stem + sym
+        depth += 1
         visited += 1
         if visited > budget:
             raise BudgetExceeded(f"visited more than {budget} prefixes")
-        if visit("".join(word)) and len(word) < max_len:
+        if visit(word) and depth < max_len:
             iterators.append(iter(symbols))
+            stem = None
         else:
-            word.pop()
+            depth -= 1
             pop()
 
 
@@ -292,8 +312,9 @@ def cross_check(
 
     def visit(word: str) -> bool:
         machine_accepts = walker.accepts_now()
-        if machine_accepts != member(word):
-            mismatches.append(Mismatch(word, machine_accepts, member(word)))
+        oracle_accepts = member(word)
+        if machine_accepts != oracle_accepts:
+            mismatches.append(Mismatch(word, machine_accepts, oracle_accepts))
         return not (walker.dead and viable is not None and not viable(word))
 
     _prefix_dfs(sorted(machine.input_alphabet), max_len, budget, walker.push, walker.pop, visit)

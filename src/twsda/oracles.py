@@ -104,11 +104,10 @@ def oracle_fib() -> LanguageOracle:
 
 def oracle_cub() -> LanguageOracle:
     def member(w: str) -> bool:
-        if set(w) - {"a"}:
-            return False
         n = len(w)
         k = round(n ** (1 / 3)) if n else 0
-        return any(c * c * c == n for c in (k - 1, k, k + 1))
+        # the cube test is O(1); set(w) scans the word, so it goes last
+        return any(c * c * c == n for c in (k - 1, k, k + 1)) and set(w) <= {"a"}
 
     return LanguageOracle("cub", ("a",), member, viable_prefix=lambda w: True)
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from twsda.analysis import (
     BudgetExceeded,
+    _prefix_dfs,
     catalan,
     class_upper_bound,
     count_classes,
@@ -266,6 +267,50 @@ def test_budget_exceeded():
         for budget in (5, 0):
             with pytest.raises(BudgetExceeded, match=f"more than {budget} "):
                 driver(5, budget)
+
+
+def _depth_first(symbols, max_len, stop, word=""):
+    """The words `_prefix_dfs` visits, by plain recursion over fresh strings."""
+    yield word
+    if word not in stop and len(word) < max_len:
+        for sym in symbols:
+            yield from _depth_first(symbols, max_len, stop, word + sym)
+
+
+@given(
+    symbols=st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True),
+    max_len=st.integers(0, 5),
+    data=st.data(),
+)
+def test_prefix_dfs_visits_in_depth_first_order(symbols, max_len, data):
+    stop = data.draw(st.sets(st.text(alphabet=symbols, max_size=max_len)))
+    expected = list(_depth_first(symbols, max_len, stop))
+    path: list[str] = []
+    visited: list[str] = []
+
+    def visit(word):
+        assert len(word) == len(path)  # pushes minus pops
+        assert word == "".join(path)  # no stale tail after a backtrack
+        visited.append(word)
+        return word not in stop
+
+    def walk(budget):
+        path.clear()
+        visited.clear()
+        _prefix_dfs(symbols, max_len, budget, path.append, path.pop, visit)
+
+    walk(None)
+    assert visited == expected
+    assert path == []  # every push was popped
+
+    budget = data.draw(st.integers(0, len(expected) + 1))
+    if budget < len(expected):
+        with pytest.raises(BudgetExceeded):
+            walk(budget)
+        assert "".join(path) == expected[budget]  # pushed, then refused
+    else:
+        walk(budget)
+    assert visited == expected[:budget]
 
 
 def ends_in_a(*, lam: bool):

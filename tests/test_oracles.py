@@ -274,6 +274,13 @@ def test_fib_membership_matches_the_fibonacci_numbers():
         assert member("a" * n) == (n > 0 and n % 2 == 0 and n // 2 in fibs), n
 
 
+def test_cub_membership_matches_the_cubes():
+    cubes = {k**3 for k in range(32)}  # 32**3 = 32 768 > 30 000
+    member = ORACLES["cub"]().membership
+    for n in range(30_001):
+        assert member("a" * n) == (n in cubes), n
+
+
 def test_fib_membership_keeps_no_state_per_length():
     member = ORACLES["fib"]().membership
     tracemalloc.start()
@@ -297,3 +304,8 @@ def test_unary_oracles(name):
     }[name]
     assert lengths == expected
     assert all(oracle.viable_prefix("a" * n) for n in (0, 3, 17))
+    # a member length spelt with a foreign letter is refused, wherever it stands
+    for n in expected:
+        if n:  # "b" * 0 is the empty word, a member of cub
+            for w in ("a" * (n - 1) + "b", "b" + "a" * (n - 1), "b" * n):
+                assert not oracle.membership(w), w
