@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 from .machine import Machine
 from .oracles import LanguageOracle
-from .simulate import Configuration, run
+from .simulate import Configuration, _step_budget
 from .tree import GammaTree, TreeNode
 
 
@@ -189,35 +189,12 @@ class Mismatch:
         )
 
 
-class _RerunWalker:
-    """Stand-in for the prefix-walking `Configuration` on machines with λ moves.
-
-    Each word is run from scratch under `run_budget`.  It never reports
-    the machine dead, so no subtree is skipped.
-    """
-
-    __slots__ = ("machine", "run_budget", "word")
-    dead = 0
-
-    def __init__(self, machine: Machine, run_budget: int | float | None):
-        self.machine = machine
-        self.run_budget = run_budget
-        self.word: list[str] = []
-
-    def push(self, sym: str) -> None:
-        self.word.append(sym)
-
-    def pop(self) -> None:
-        self.word.pop()
-
-    def accepts_now(self) -> bool:
-        return run(self.machine, self.word, budget=self.run_budget).accepted
-
-
 def _walker(machine: Machine, run_budget: int | float | None):
-    if machine.real_time:
-        return Configuration(machine)
-    return _RerunWalker(machine, run_budget)
+    """A configuration to walk `machine` by prefix, with its push and pop."""
+    config = Configuration(machine, _step_budget(machine, run_budget, None))
+    if config._budget is None:
+        return config, config.push, config.pop
+    return config, config._feed, config._unfeed
 
 
 def _prefix_dfs(symbols, max_len, budget, push, pop, visit):
@@ -291,21 +268,20 @@ def cross_check(
 ) -> list[Mismatch]:
     """Compare machine and oracle on every word up to `max_len`.
 
-    For real-time machines the walk backtracks over the prefix tree
-    instead of running each word from scratch.  A subtree is skipped only
-    when the machine has already halted inside the prefix (so it rejects
-    every extension) and the oracle's `viable_prefix` says no extension is
-    ever a member; the two sides are then guaranteed to agree on the whole
-    subtree.  `budget` caps the number of prefixes visited.  Machines with
-    λ moves are run word by word, in the same order, and need
-    `run_budget`.  Mismatches come in the order of the walk.
+    The walk backtracks over the prefix tree, for machines with λ moves
+    too, and `run_budget` bounds each word's run as in `run`.  A subtree is
+    skipped only when the machine has already halted or run out of budget
+    inside the prefix (so it rejects every extension) and the oracle's
+    `viable_prefix` says no extension is ever a member; the two sides are
+    then guaranteed to agree on the whole subtree.  `budget` caps the
+    number of prefixes visited.  Mismatches come in the order of the walk.
     """
     if sorted(machine.input_alphabet) != sorted(oracle.alphabet):
         raise ValueError(
             f"alphabets differ: machine {sorted(machine.input_alphabet)}, "
             f"oracle {sorted(oracle.alphabet)}"
         )
-    walker = _walker(machine, run_budget)
+    walker, push, pop = _walker(machine, run_budget)
     viable = oracle.viable_prefix
     member = oracle.membership
     mismatches: list[Mismatch] = []
@@ -317,7 +293,7 @@ def cross_check(
             mismatches.append(Mismatch(word, machine_accepts, oracle_accepts))
         return not (walker.dead and viable is not None and not viable(word))
 
-    _prefix_dfs(sorted(machine.input_alphabet), max_len, budget, walker.push, walker.pop, visit)
+    _prefix_dfs(sorted(machine.input_alphabet), max_len, budget, push, pop, visit)
     return mismatches
 
 
@@ -329,11 +305,11 @@ def enumerate_accepted(
 ) -> list[str]:
     """All accepted words of length at most `max_len`, shortest first.
 
-    Prefixes a real-time machine has died inside are skipped wholesale;
-    `budget` caps the number of prefixes visited.  Machines with λ moves
-    are run word by word and need `run_budget`.
+    Every machine, λ moves included, is walked by prefix, skipping the
+    prefixes it has halted or run out of budget inside.  `run_budget`
+    bounds each word's run as in `run`; `budget` caps the prefixes visited.
     """
-    walker = _walker(machine, run_budget)
+    walker, push, pop = _walker(machine, run_budget)
     accepted: list[str] = []
 
     def visit(word: str) -> bool:
@@ -341,7 +317,7 @@ def enumerate_accepted(
             accepted.append(word)
         return not walker.dead
 
-    _prefix_dfs(sorted(machine.input_alphabet), max_len, budget, walker.push, walker.pop, visit)
+    _prefix_dfs(sorted(machine.input_alphabet), max_len, budget, push, pop, visit)
     accepted.sort(key=lambda w: (len(w), w))
     return accepted
 

@@ -26,7 +26,7 @@ from .machinefile import (
     parse_word,
 )
 from .oracles import ORACLES
-from .simulate import Configuration, RunOutcome, Verdict, run
+from .simulate import BudgetRequired, Configuration, RunOutcome, Verdict, run
 from .tree import format_action
 
 
@@ -56,14 +56,6 @@ def load_oracle(name: str):
             f"unknown oracle {name!r}; choose from {', '.join(sorted(ORACLES))}"
         )
     return factory()
-
-
-def _budget_for(machine: Machine, args) -> int | None:
-    if machine.real_time:
-        return args.max_steps
-    if args.max_steps is None:
-        raise CliError("--max-steps is required for machines with realtime: false")
-    return args.max_steps
 
 
 def _verdict_exit(out: RunOutcome, print_to) -> int:
@@ -111,14 +103,14 @@ def cmd_validate(args) -> int:
 def cmd_run(args) -> int:
     machine = load_machine(args.machine)
     word = parse_word(args.word)
-    out = run(machine, word, budget=_budget_for(machine, args))
+    out = run(machine, word, budget=args.max_steps)
     return _verdict_exit(out, sys.stdout)
 
 
 def cmd_trace(args) -> int:
     machine = load_machine(args.machine)
     word = parse_word(args.word)
-    out = run(machine, word, budget=_budget_for(machine, args), traced=True)
+    out = run(machine, word, budget=args.max_steps, traced=True)
     # Snapshots replay each recorded action on a fresh copy of the storage.
     storage = Configuration(machine)
     for rec in out.trace:
@@ -137,7 +129,7 @@ def cmd_trace(args) -> int:
 def cmd_enum(args) -> int:
     machine = load_machine(args.machine)
     words = enumerate_accepted(
-        machine, args.max_len, budget=args.budget, run_budget=_budget_for(machine, args)
+        machine, args.max_len, budget=args.budget, run_budget=args.max_steps
     )
     for word in words:
         print(format_word(word))
@@ -148,7 +140,7 @@ def cmd_check(args) -> int:
     machine = load_machine(args.machine)
     oracle = load_oracle(args.oracle)
     mismatches = cross_check(
-        machine, oracle, args.max_len, budget=args.budget, run_budget=_budget_for(machine, args)
+        machine, oracle, args.max_len, budget=args.budget, run_budget=args.max_steps
     )
     for mism in mismatches:
         print(f"MISMATCH {mism}")
@@ -251,6 +243,9 @@ def main(argv=None) -> int:
     except MachineFileError as exc:
         for diag in exc.diagnostics:
             print(diag, file=sys.stderr)
+        return 2
+    except BudgetRequired:
+        print("error: --max-steps is required for machines with realtime: false", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

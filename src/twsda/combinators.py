@@ -46,6 +46,9 @@ class Dfa:
             for sym in self.alphabet:
                 if (q, sym) not in self.transition:
                     raise ValueError(f"transition not total: missing ({q!r}, {sym!r})")
+        outside = {self.start, *self.transition.values(), *self.accepting} - set(self.states)
+        if outside:
+            raise ValueError(f"states outside the DFA's states: {sorted(outside, key=repr)}")
 
 
 def dfa_run(dfa: Dfa, word: Sequence[str]) -> bool:

@@ -64,19 +64,20 @@ class Configuration:
     stepper every caller uses; the input is what the caller pushes.
 
     `push(sym)` makes one step reading `sym`; `pop()` takes the latest step
-    back, undoing its structural edit, so a prefix walk advances and
-    retreats by one symbol in O(1).  A configuration whose machine halted
-    or aborted is dead: `dead` then counts the pushes since, and a
-    deterministic machine that stopped rejects every extension.  The
-    pointer's path is `node.path()`, computed only when asked for.
+    back, undoing its structural edit.  A prefix walk moves by symbol:
+    `_feed`/`_unfeed` group each with the λ moves before it, within
+    `budget` steps along the path, or `push`/`pop` do on a real-time
+    machine without one.  A configuration whose machine halted, aborted or
+    ran out of budget is dead: `dead` then counts the pushes since, and it
+    rejects every extension.  The pointer's path is `node.path()`.
     """
 
     __slots__ = (
         "state", "tree", "node", "dead", "violation",
-        "_trans", "_accepting", "_real_time", "_undo",
+        "_trans", "_accepting", "_real_time", "_undo", "_budget", "_marks",
     )
 
-    def __init__(self, machine: Machine):
+    def __init__(self, machine: Machine, budget: int | float | None = None):
         self.state = machine.start
         if machine.initial_tree is not None:
             self.tree = machine.initial_tree.clone()
@@ -90,6 +91,9 @@ class Configuration:
         self._accepting = machine.accepting
         self._real_time = machine.real_time
         self._undo: list = []
+        # None on a real-time machine: unbounded, since it halts right after END
+        self._budget = math.inf if budget is None and not machine.real_time else budget
+        self._marks: list[int] = []  # len(_undo) before each `_feed`
 
     def push(self, sym: str | None):
         """Make one step with `sym` (an input symbol, END, or None) at the head.
@@ -148,16 +152,45 @@ class Configuration:
         self.state = state
         self.node = node
 
-    def accepts_now(self) -> bool:
-        """Would the endmarker arriving here leave a real-time machine accepting?
-
-        Raises ValueError for machines not flagged real-time: the single
-        endmarker lookup follows no λ move, so it could answer wrongly.
+    def _feed(self, sym: str) -> bool:
+        """Consume `sym` and the λ moves before it (after END, every move to
+        the halt); True if it did (after END: and the machine did not abort).
+        A step past the budget is taken back and leaves the configuration
+        dead, as a halt would: every extension runs out of budget too.
         """
-        if not self._real_time:
-            raise ValueError("accepts_now needs a real-time machine")
+        self._marks.append(len(self._undo))
+        while True:
+            moved = self.push(sym)
+            if moved is None:
+                return sym is None and self.violation is None
+            if len(self._undo) > self._budget:
+                self.pop()
+                self.dead = 1
+                return False
+            if moved[0] == END:
+                sym = None
+            elif moved[0] != LAMBDA:
+                return True
+
+    def _unfeed(self) -> None:
+        """Take the latest `_feed` back, λ moves included."""
+        mark = self._marks.pop()
+        self.pop()
+        while len(self._undo) > mark:
+            self.pop()
+
+    def accepts_now(self) -> bool:
+        """Would the endmarker arriving here leave the machine accepting?
+
+        One lookup on a real-time machine without a budget; else steps on
+        the endmarker and λ moves to the halt or the budget, then back.
+        """
         if self.dead:
             return False
+        if self._budget is not None:
+            accepted = self._feed(END) and self.state in self._accepting
+            self._unfeed()
+            return accepted
         node = self.node
         hit = self._trans.get(
             (
@@ -170,6 +203,15 @@ class Configuration:
             )
         )
         return hit is not None and hit[0] in self._accepting
+
+
+def _step_budget(machine: Machine, budget, default):
+    """`budget` once checked; `default` when a real-time machine has none."""
+    if budget is None and not machine.real_time:
+        raise BudgetRequired("machine is not real-time: pass an explicit step budget")
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be a positive number of steps")
+    return default if budget is None else budget
 
 
 def _run(machine: Machine, word: Sequence[str], budget, trace: list | None, endmarker=True):
@@ -187,13 +229,7 @@ def _run(machine: Machine, word: Sequence[str], budget, trace: list | None, endm
             raise EndmarkerInInput(f"input word may not contain {sym!r}")
         if sym not in machine.input_alphabet:
             raise ValueError(f"symbol {sym!r} not in the input alphabet")
-    if budget is None:
-        if not machine.real_time:
-            raise BudgetRequired("machine is not real-time: pass an explicit step budget")
-        budget = len(word) + 1
-    elif budget is not math.inf and budget < 1:
-        raise ValueError("budget must be a positive number of steps")
-
+    budget = _step_budget(machine, budget, len(word) + 1)
     config = Configuration(machine)
     push, forget = config.push, config._undo.pop  # a run never backtracks
     n = len(word)

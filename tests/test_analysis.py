@@ -24,7 +24,7 @@ from twsda.analysis import (
 from twsda.builders import build_expo, build_fib, build_trie_p
 from twsda.machine import END, LAMBDA, TransitionRow, machine_from_rows
 from twsda.oracles import ORACLES, LanguageOracle, lh_class_sample, oracle_expo, oracle_fib
-from twsda.simulate import BudgetRequired, Configuration, run
+from twsda.simulate import BudgetRequired, Configuration, Verdict, run
 from twsda.tree import GammaTree, ROOT_LABEL, STAY, UP, push
 
 
@@ -350,11 +350,64 @@ def test_lambda_machine_checks_follow_the_real_time_walk():
     for first, second in ((lam, real_time), (real_time, lam)):
         with pytest.raises(ValueError, match="real-time"):
             machines_agree(first, second, 3)
-    # the walker's endmarker lookup does not follow the λ hop that accepts "a"
+    # the endmarker step follows the λ hop that accepts "a", as the run does
     config = Configuration(lam)
     config.push("a")
-    with pytest.raises(ValueError, match="real-time"):
-        config.accepts_now()
+    assert config.accepts_now() and run(lam, "a", budget=8).accepted
+
+
+def test_run_budget_bounds_real_time_walks():
+    expo = build_expo()
+    # a word of length n takes n+1 steps, so a budget of 3 cuts off aaaa
+    assert run(expo, "aaaa", budget=3).verdict is Verdict.BUDGET_EXHAUSTED
+    assert enumerate_accepted(expo, 9, run_budget=3) == ["a", "aa"]
+    assert enumerate_accepted(expo, 9, run_budget=math.inf) == ["a", "aa", "aaaa", "a" * 8]
+    mismatches = cross_check(expo, ORACLES["expo"](), 9, run_budget=3)
+    assert [(m.word, m.machine_accepts) for m in mismatches] == [("aaaa", False), ("a" * 8, False)]
+    for run_budget in (0, -1):
+        with pytest.raises(ValueError, match="budget must be a positive number"):
+            enumerate_accepted(expo, 3, run_budget=run_budget)
+
+
+def test_lambda_walks_skip_the_prefixes_the_machine_halted_inside():
+    """A λ hop after every a and no rule that reads b: the machine halts on
+    its first b, so the walk to length 10 visits λ, the ten words a^i and
+    the ten words a^i b, and skips the 2 026 words below those."""
+    rows = [
+        TransitionRow("q", "a", "-", "-", "-", ROOT_LABEL, "hop", STAY),
+        TransitionRow("hop", LAMBDA, "-", "-", "-", ROOT_LABEL, "q", STAY),
+        TransitionRow("q", END, "-", "-", "-", ROOT_LABEL, "yes", STAY),
+    ]
+    a_star = machine_from_rows(
+        "a-star", ("a", "b"), ("x",), "q", ["yes"], rows, real_time=False, non_erasing=True
+    )
+    unary = ["a" * n for n in range(11)]
+    assert enumerate_accepted(a_star, 10, budget=21, run_budget=21) == unary
+    nothing = LanguageOracle("empty", ("a", "b"), lambda w: False, lambda w: False)
+    mismatches = cross_check(a_star, nothing, 10, budget=21, run_budget=21)
+    assert [m.word for m in mismatches] == unary
+    with pytest.raises(BudgetExceeded):
+        enumerate_accepted(a_star, 10, budget=20, run_budget=21)
+    # a^n takes 2n+1 steps: a budget of 20 cuts a^10 off
+    assert enumerate_accepted(a_star, 10, budget=21, run_budget=20) == unary[:-1]
+
+
+@pytest.mark.parametrize("accept", ["end", "yes"])
+def test_lambda_moves_after_the_endmarker_decide(accept):
+    """The endmarker leads to `end`, whose λ move halts in `yes`: only the
+    state the machine halts in counts, within the budget."""
+    rows = [
+        TransitionRow("q", "a", "-", "-", "-", ROOT_LABEL, "q", STAY),
+        TransitionRow("q", END, "-", "-", "-", ROOT_LABEL, "end", STAY),
+        TransitionRow("end", LAMBDA, "-", "-", "-", ROOT_LABEL, "yes", STAY),
+    ]
+    m = machine_from_rows(
+        "late", ("a",), ("x",), "q", [accept], rows, real_time=False, non_erasing=True
+    )
+    # a^n takes n+2 steps
+    expected = ["a" * n for n in range(4)] if accept == "yes" else []
+    assert enumerate_accepted(m, 5, run_budget=5) == expected
+    assert [w for w in expected if run(m, w, budget=5).accepted] == expected
 
 
 def test_machines_agree_detects_difference():

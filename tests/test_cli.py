@@ -202,6 +202,24 @@ def test_enum_and_check_with_max_steps(tmp_path, capsys):
     )
 
 
+def test_max_steps_bounds_real_time_enum_and_check(capsys):
+    code, out, _ = cli(capsys, "run", "builtin:expo", "aaaa", "--max-steps", "3")
+    assert code == 2 and out.startswith("BUDGET-EXHAUSTED")
+    # a word of length n takes n+1 steps, so three steps cut off aaaa
+    code, out, _ = cli(capsys, "enum", "builtin:expo", "--max-len", "9", "--max-steps", "3")
+    assert code == 0 and out == "a\naa\n"
+    code, out, _ = cli(
+        capsys, "check", "builtin:expo", "--oracle", "expo", "--max-len", "9", "--max-steps", "3"
+    )
+    assert code == 1 and out == (
+        "MISMATCH word=aaaa machine=REJECT oracle=ACCEPT\n"
+        "MISMATCH word=aaaaaaaa machine=REJECT oracle=ACCEPT\n"
+    )
+    for command in (["run", "builtin:expo", "a"], ["enum", "builtin:expo", "--max-len", "3"]):
+        code, _, err = cli(capsys, *command, "--max-steps", "0")
+        assert code == 2 and "budget must be a positive number" in err
+
+
 def test_spaced_word_arguments(capsys):
     code, out, _ = cli(capsys, "run", "builtin:trie-p", "a b $ $ b $ b0 a b")
     assert code == 0  # same word as ab$$b$⊳ab

@@ -46,6 +46,17 @@ def test_dfa_must_be_total():
         Dfa(("e",), ("a",), {}, "e", frozenset())
 
 
+def test_dfa_refuses_states_outside_its_states():
+    table = {("p", "a"): "p"}
+    with pytest.raises(ValueError, match="outside"):
+        Dfa(("p",), ("a",), {("p", "a"): "zz"}, "p", frozenset())
+    with pytest.raises(ValueError, match="outside"):
+        Dfa(("p",), ("a",), table, "zz", frozenset())
+    with pytest.raises(ValueError, match="outside"):
+        Dfa(("p",), ("a",), table, "p", frozenset({"zz"}))
+    assert dfa_run(Dfa(("p",), ("a",), table, "p", frozenset({"p"})), "aa")
+
+
 def test_complement_flips_membership():
     m = build_expo()
     c = complement(m)

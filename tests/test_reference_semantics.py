@@ -9,10 +9,10 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from test_machinefile import _actions, _random_rows, _states
-from twsda.analysis import enumerate_accepted, machines_agree
+from twsda.analysis import cross_check, enumerate_accepted, machines_agree
 from twsda.builders import BUILTINS
 from twsda.combinators import (
     Dfa,
@@ -30,12 +30,17 @@ from twsda.machine import (
     machine_from_rows,
     validate,
 )
+from twsda.oracles import LanguageOracle
 from twsda.simulate import Verdict, run
 from twsda.tree import ROOT_LABEL
 
 
-def naive_run(machine: Machine, word: str, budget=None):
-    """Reference semantics: returns (verdict_name, steps)."""
+def naive_run(machine: Machine, word: str, budget=None, endmarker=True):
+    """Reference semantics: returns (verdict_name, steps).
+
+    Without `endmarker` the run stops as soon as the word is consumed, with
+    the verdict "consumed"; that is how a left quotient reads its prefix.
+    """
     if machine.initial_tree is not None:
         tree, stack = {}, [(machine.initial_tree.root, "")]
         while stack:
@@ -49,7 +54,7 @@ def naive_run(machine: Machine, word: str, budget=None):
         tree = {"": ROOT_LABEL}
         pointer = ""
     state = machine.start
-    remaining = list(word) + [END]
+    remaining = list(word) + ([END] if endmarker else [])
     if budget is None:
         budget = len(word) + 1
     steps = 0
@@ -63,6 +68,8 @@ def naive_run(machine: Machine, word: str, budget=None):
         )
 
     while True:
+        if not (endmarker or remaining):
+            return ("consumed", steps)
         anc, hl, hr = node_type(pointer)
         label = tree[pointer]
         rule = None
@@ -232,3 +239,75 @@ def test_random_real_time_machines_match_the_reference(rows):
                 continue
             for u in suffixes:
                 assert run(quotient, u).accepted is (prefix + u in accepted), (prefix, u)
+
+
+@st.composite
+def _lambda_rows(draw):
+    """`_busy_rows` where one state trades all its rows for λ rows, half of
+    the time under a λ catch-all, so that runs make λ moves, loop, abort
+    inside λ moves or stop on their budget."""
+    rows = draw(_busy_rows())
+    state = draw(_states)
+    rows = [r for r in rows if r.state != state]
+    if draw(st.booleans()):
+        rows.append(TransitionRow(state, LAMBDA, "*", "*", "*", "*", draw(_states), draw(_actions)))
+    for _ in range(draw(st.integers(1, 3))):
+        rows.append(
+            TransitionRow(
+                state, LAMBDA,
+                draw(st.sampled_from(["-", "l", "r", "*"])),
+                draw(st.sampled_from(["-", "+", "*"])),
+                draw(st.sampled_from(["-", "+", "*"])),
+                draw(st.sampled_from(["x", "y", "*"])),
+                draw(_states), draw(_actions),
+            )
+        )
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans(), st.data())
+def test_random_machines_match_the_reference_within_a_budget(lam, data):
+    """Machines with λ moves, and real-time ones, under explicit budgets:
+    the prefix walks, the product with a DFA and the quotient all give the
+    reference's verdict for every word."""
+    rows = data.draw(_lambda_rows() if lam else _busy_rows())
+    try:
+        machine = machine_from_rows(
+            "rand", ("a", "b", "¢", "⊳"), ("x", "y"), "q0", ["final"], rows,
+            real_time=not lam, non_erasing=False,
+        )
+    except SpecificityConflict:
+        assume(False)
+    assume(not validate(machine))
+    words = [
+        "".join(parts)
+        for length in range(4)
+        for parts in itertools.product(sorted(machine.input_alphabet), repeat=length)
+    ]
+    nothing = LanguageOracle("empty", machine.input_alphabet, lambda w: False, lambda w: False)
+    product = intersect_regular(machine, EVEN_A)
+    for budget in (1, 2, 5, 13):
+        for word in words:
+            agree(machine, word, budget=budget)
+        accepted = [w for w in words if naive_run(machine, w, budget)[0] == "accepted"]
+        assert enumerate_accepted(machine, 3, run_budget=budget) == accepted
+        mismatches = cross_check(machine, nothing, 3, run_budget=budget)
+        assert sorted(m.word for m in mismatches) == sorted(accepted)
+        even = [w for w in accepted if w.count("a") % 2 == 0]
+        assert enumerate_accepted(product, 3, run_budget=budget) == even
+        for prefix in words[:21]:  # every prefix up to length 2
+            verdict, steps = naive_run(machine, prefix, budget, endmarker=False)
+            try:
+                quotient = left_quotient(machine, prefix, budget=budget)
+            except PrefixKillsMachine:
+                assert verdict in ("rejected", "well-formedness-violation"), prefix
+                continue
+            except ValueError:
+                assert verdict == "budget-exhausted", prefix
+                continue
+            assert verdict == "consumed", prefix
+            for u in words:
+                if len(prefix) + len(u) <= 3:
+                    want = naive_run(machine, prefix + u, steps + budget)[0] == "accepted"
+                    assert run(quotient, u, budget=budget).accepted is want, (prefix, u)
