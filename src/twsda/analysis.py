@@ -191,10 +191,8 @@ class Mismatch:
 
 def _walker(machine: Machine, run_budget: int | float | None):
     """A configuration to walk `machine` by prefix, with its push and pop."""
-    config = Configuration(machine, _step_budget(machine, run_budget, None))
-    if config._budget is None:
-        return config, config.push, config.pop
-    return config, config._feed, config._unfeed
+    w = Configuration(machine, _step_budget(machine, run_budget, math.inf))
+    return (w, w.push, w.pop) if machine.real_time else (w, w._feed, w._unfeed)
 
 
 def _prefix_dfs(symbols, max_len, budget, push, pop, visit):
@@ -306,8 +304,8 @@ def enumerate_accepted(
     """All accepted words of length at most `max_len`, shortest first.
 
     Every machine, λ moves included, is walked by prefix, skipping the
-    prefixes it has halted or run out of budget inside.  `run_budget`
-    bounds each word's run as in `run`; `budget` caps the prefixes visited.
+    prefixes it has halted (or, with λ moves, run out of budget) inside.
+    `run_budget` bounds each word's run as in `run`; `budget` caps visits.
     """
     walker, push, pop = _walker(machine, run_budget)
     accepted: list[str] = []

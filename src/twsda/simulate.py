@@ -64,12 +64,13 @@ class Configuration:
     stepper every caller uses; the input is what the caller pushes.
 
     `push(sym)` makes one step reading `sym`; `pop()` takes the latest step
-    back, undoing its structural edit.  A prefix walk moves by symbol:
-    `_feed`/`_unfeed` group each with the λ moves before it, within
-    `budget` steps along the path, or `push`/`pop` do on a real-time
-    machine without one.  A configuration whose machine halted, aborted or
-    ran out of budget is dead: `dead` then counts the pushes since, and it
-    rejects every extension.  The pointer's path is `node.path()`.
+    back, undoing its structural edit.  A prefix walk moves by symbol: by
+    `push`/`pop` on a real-time machine, else by `_feed`/`_unfeed`, which
+    add the λ moves before each symbol, within `budget` steps along the path
+    (by default unbounded if real-time, else missing).  A configuration whose
+    machine halted or aborted, or whose `_feed` ran out of budget, is dead:
+    `dead` counts the pushes since, and it rejects every extension.  The
+    pointer's path is `node.path()`.
     """
 
     __slots__ = (
@@ -91,8 +92,7 @@ class Configuration:
         self._accepting = machine.accepting
         self._real_time = machine.real_time
         self._undo: list = []
-        # None on a real-time machine: unbounded, since it halts right after END
-        self._budget = math.inf if budget is None and not machine.real_time else budget
+        self._budget = math.inf if budget is None and machine.real_time else budget
         self._marks: list[int] = []  # len(_undo) before each `_feed`
 
     def push(self, sym: str | None):
@@ -154,16 +154,15 @@ class Configuration:
 
     def _feed(self, sym: str) -> bool:
         """Consume `sym` and the λ moves before it (after END, every move to
-        the halt); True if it did (after END: and the machine did not abort).
-        A step past the budget is taken back and leaves the configuration
-        dead, as a halt would: every extension runs out of budget too.
+        the halt); True if it did (after END: and did not abort).  A step past
+        the budget is taken back and leaves the configuration dead, as a halt.
         """
         self._marks.append(len(self._undo))
         while True:
             moved = self.push(sym)
             if moved is None:
                 return sym is None and self.violation is None
-            if len(self._undo) > self._budget:
+            if len(self._undo) - 1 >= self._budget:  # as in `_run`
                 self.pop()
                 self.dead = 1
                 return False
@@ -182,12 +181,14 @@ class Configuration:
     def accepts_now(self) -> bool:
         """Would the endmarker arriving here leave the machine accepting?
 
-        One lookup on a real-time machine without a budget; else steps on
-        the endmarker and λ moves to the halt or the budget, then back.
+        One lookup on a real-time machine, which halts right after it; any
+        other steps on it and λ moves to the halt and back, within a budget.
         """
+        if self._budget is None:
+            raise BudgetRequired("machine is not real-time: pass an explicit step budget")
         if self.dead:
             return False
-        if self._budget is not None:
+        if not self._real_time:
             accepted = self._feed(END) and self.state in self._accepting
             self._unfeed()
             return accepted
@@ -202,7 +203,7 @@ class Configuration:
                 node.label,
             )
         )
-        return hit is not None and hit[0] in self._accepting
+        return hit is not None and hit[0] in self._accepting and len(self._undo) < self._budget
 
 
 def _step_budget(machine: Machine, budget, default):

@@ -351,9 +351,11 @@ def test_lambda_machine_checks_follow_the_real_time_walk():
         with pytest.raises(ValueError, match="real-time"):
             machines_agree(first, second, 3)
     # the endmarker step follows the λ hop that accepts "a", as the run does
-    config = Configuration(lam)
+    config = Configuration(lam, 8)
     config.push("a")
     assert config.accepts_now() and run(lam, "a", budget=8).accepted
+    with pytest.raises(BudgetRequired):
+        Configuration(lam).accepts_now()
 
 
 def test_run_budget_bounds_real_time_walks():
