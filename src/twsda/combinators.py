@@ -10,6 +10,7 @@ from .machine import (
     FLAGS,
     Machine,
     TransitionKey,
+    _legal,
     validate,
 )
 from .simulate import Verdict, _run
@@ -74,16 +75,16 @@ def complement(machine: Machine) -> Machine:
     """Machine accepting exactly the words `machine` does not accept.
 
     Real time makes every run halt by itself, so it suffices to route every
-    undefined lookup, and every abort entry of the step table (a run that
-    aborts rejects), into a sink state that consumes the rest of the input,
-    and then to flip which states accept.
+    undefined lookup, and every rule whose action is illegal at its own
+    key's shape (a run that aborts there rejects), into a sink state that
+    consumes the rest of the input, and then to flip which states accept.
     """
     if not machine.real_time:
         raise NotRealTime("complement is defined for real-time machines")
     sink = "sink"
     while sink in machine.states:
         sink += "+"
-    transitions = {key: rhs for key, rhs in machine._table.items() if rhs[0] is not None}
+    transitions = {key: rhs for key, rhs in machine.transitions.items() if _legal(key, rhs[1])}
     for state in machine.states + (sink,):
         for sym in machine.input_alphabet + (END,):
             for anc, hl, hr, label in _consistent_shapes(machine.tree_alphabet):

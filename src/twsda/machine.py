@@ -1,11 +1,12 @@
 """Machine descriptions: transition tables, wildcard rows, validation."""
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .tree import ROOT_LABEL, GammaTree, format_action
+from .tree import ROOT_LABEL, _SHAPE_BASE, GammaTree, format_action
 
 LAMBDA = "λ"
 END = "⋗"
@@ -132,13 +133,9 @@ class Machine:
     initial_pointer: str = ""
 
     @cached_property
-    def _table(self) -> dict:
-        """The step table: `transitions`, with target None marking each
-        entry whose action is illegal at its own key's shape (an abort)."""
-        return {
-            key: rhs if _legal(key, rhs[1]) else (None, rhs[1])
-            for key, rhs in self.transitions.items()
-        }
+    def _program(self) -> dict:
+        """The step program; see `_compile`."""
+        return _compile(self)
 
 
 def _legal(key: TransitionKey, action: tuple) -> bool:
@@ -157,6 +154,101 @@ def _legal(key: TransitionKey, action: tuple) -> bool:
     if kind == "push":
         return (key.has_left if action[2] == "l" else key.has_right) == "-"
     raise ValueError(f"unknown action {action!r}")
+
+
+# Opcodes of step-program entries.  _ABORT and _CLASH come last, so that one
+# comparison (`op >= _ABORT`) finds a step that cannot be made.
+_OP_STAY, _OP_UP, _OP_DOWN_L, _OP_DOWN_R, _OP_PUSH, _OP_POP, _ABORT, _CLASH = range(8)
+_OPCODES = {
+    "stay": _OP_STAY, "up": _OP_UP, "down-l": _OP_DOWN_L, "down-r": _OP_DOWN_R,
+    "push": _OP_PUSH, "pop": _OP_POP,
+}
+
+
+class _Entry(NamedTuple):
+    """One step of a compiled machine."""
+
+    target: str | None  # None on an abort or a clash
+    op: int
+    operand: str | None  # the pushed label
+    consumed: str | None  # the symbol read, or LAMBDA
+    action: tuple | None
+    rows: dict | None  # the target's part of the program
+
+
+_EMPTY_ROW = (None,) * 12
+_CLASH_ENTRY = _Entry(None, _CLASH, None, None, None, None)
+
+
+def _compile(machine: Machine) -> dict:
+    """Compile `machine.transitions` into the indexed step program.
+
+    `program[state][symbol][label][shape]` is the step the machine makes in
+    `state` reading `symbol` (an input symbol, END, or None after END) at a
+    node with that label and shape code, or None where it halts.  Each entry
+    is settled here once: a symbol rule; else, on a machine not flagged
+    real-time, a λ rule (consuming LAMBDA); a clash where both exist, which
+    raises only when a run steps on it; and an abort where `_legal` refuses
+    the action.  An entry carries its target's own part of the program, so
+    a run never looks a state up.  The program is total over every state,
+    symbol and label a run can meet, including states and labels outside
+    the declared ones; a symbol outside it reads as None (λ moves only).
+    Equal entries are one object, and so are all empty rows.
+    """
+    trans = machine.transitions
+    states = dict.fromkeys((
+        machine.start, *machine.states, *(k.state for k in trans), *(t for t, _ in trans.values())
+    ))
+    symbols = dict.fromkeys((
+        *machine.input_alphabet, END, *(k.symbol for k in trans if k.symbol != LAMBDA), None
+    ))
+    labels = dict.fromkeys((
+        *machine.tree_alphabet, ROOT_LABEL, *(k.label for k in trans),
+        *(action[1] for _, action in trans.values() if action[0] == "push"),
+    ))
+    if machine.initial_tree is not None:
+        nodes = [machine.initial_tree.root]
+        for node in nodes:
+            labels[node.label] = None
+            nodes.extend(c for c in (node.left, node.right) if c is not None)
+    no_rules = dict.fromkeys(labels, _EMPTY_ROW)
+    program = {state: dict.fromkeys(symbols, no_rules) for state in states}
+    interned: dict = {}  # equal entries -> one object
+
+    def entry(key, consumed, target, action):
+        if _legal(key, action):
+            operand = action[1] if action[0] == "push" else None
+            spec = (target, _OPCODES[action[0]], operand, consumed, action)
+        else:
+            spec = (None, _ABORT, None, consumed, action)
+        found = interned.get(spec)
+        if found is None:
+            found = interned[spec] = _Entry(*spec, program.get(spec[0]))
+        return found
+
+    rows = defaultdict(lambda: [None] * 12)  # (state, symbol, label) -> row
+    for key, (target, action) in trans.items():
+        if key.symbol != LAMBDA:
+            rows[key.state, key.symbol, key.label][_shape(key)] = (
+                entry(key, key.symbol, target, action)
+            )
+    if not machine.real_time:
+        for key, (target, action) in trans.items():
+            if key.symbol == LAMBDA:
+                step, shape = entry(key, LAMBDA, target, action), _shape(key)
+                for sym in symbols:
+                    row = rows[key.state, sym, key.label]
+                    row[shape] = step if row[shape] is None else _CLASH_ENTRY
+    for (state, sym, label), row in rows.items():
+        if program[state][sym] is no_rules:
+            program[state][sym] = dict(no_rules)
+        program[state][sym][label] = tuple(row)
+    return program
+
+
+def _shape(key: TransitionKey) -> int:
+    """The shape code of a node of the key's shape (`TreeNode._shape`)."""
+    return _SHAPE_BASE[key.ancestry] + 2 * (key.has_left == "+") + (key.has_right == "+")
 
 
 def machine_from_rows(

@@ -5,7 +5,10 @@ the input.  Each step looks the transition function up first under the
 head input symbol (or the endmarker), and only for machines not flagged
 real-time under λ; a symbol rule consumes the symbol, a λ rule consumes
 nothing.  A word is accepted exactly when the machine halts in an
-accepting state with the word and the endmarker consumed entirely.
+accepting state with the word and the endmarker consumed entirely.  The
+machine's step program (`Machine._program`) settles that lookup order,
+and the legality of each action, once per transition key, so a step here
+is one indexed lookup.
 """
 from __future__ import annotations
 
@@ -14,7 +17,19 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
-from .machine import END, LAMBDA, Machine
+from .machine import (
+    END,
+    LAMBDA,
+    _ABORT,
+    _CLASH,
+    _OP_DOWN_L,
+    _OP_DOWN_R,
+    _OP_POP,
+    _OP_PUSH,
+    _OP_STAY,
+    _OP_UP,
+    Machine,
+)
 from .tree import GammaTree, WellFormednessViolation
 
 
@@ -64,18 +79,21 @@ class Configuration:
     stepper every caller uses; the input is what the caller pushes.
 
     `push(sym)` makes one step reading `sym`; `pop()` takes the latest step
-    back, undoing its structural edit.  A prefix walk moves by symbol: by
-    `push`/`pop` on a real-time machine, else by `_feed`/`_unfeed`, which
-    add the λ moves before each symbol, within `budget` steps along the path
-    (by default unbounded if real-time, else missing).  A configuration whose
-    machine halted or aborted, or whose `_feed` ran out of budget, is dead:
-    `dead` counts the pushes since, and it rejects every extension.  The
-    pointer's path is `node.path()`.
+    back, undoing its structural edit.  Each step is one indexed lookup in
+    the machine's step program (`Machine._program`), which has already
+    decided whether a λ rule applies and whether the action is legal at the
+    node's shape.  A prefix walk moves by symbol: by `push`/`pop` on a
+    real-time machine, else by `_feed`/`_unfeed`, which add the λ moves
+    before each symbol, within `budget` steps along the path (by default
+    unbounded if real-time, else missing).  A configuration whose machine
+    halted or aborted, or whose `_feed` ran out of budget, is dead: `dead`
+    counts the pushes since, and it rejects every extension.  The pointer's
+    path is `node.path()`.
     """
 
     __slots__ = (
         "state", "tree", "node", "dead", "violation",
-        "_trans", "_accepting", "_real_time", "_undo", "_budget", "_marks",
+        "_rows", "_accepting", "_real_time", "_undo", "_budget", "_marks",
     )
 
     def __init__(self, machine: Machine, budget: int | float | None = None):
@@ -88,7 +106,7 @@ class Configuration:
             self.node = self.tree.root
         self.dead = 0
         self.violation: WellFormednessViolation | None = None
-        self._trans = machine._table
+        self._rows = machine._program[machine.start]  # the state's part of the program
         self._accepting = machine.accepting
         self._real_time = machine.real_time
         self._undo: list = []
@@ -98,59 +116,48 @@ class Configuration:
     def push(self, sym: str | None):
         """Make one step with `sym` (an input symbol, END, or None) at the head.
 
-        The rule is looked up in the machine's step table under `sym`
-        first and, for machines not flagged real-time, under λ.  Returns
-        (consumed, action), where consumed is `sym` or LAMBDA, or None when
-        the machine halts or hits an abort entry (an action illegal at the
-        node's shape), which leaves the configuration dead;
-        `violation` holds the abort's WellFormednessViolation, or None
-        after a halt.
+        The step is the program's entry for `sym`: a rule on `sym` or, on a
+        machine not flagged real-time, a λ rule.  Returns (consumed,
+        action), where consumed is `sym` or LAMBDA, or None when the
+        machine halts or hits an abort entry (an action illegal at the
+        node's shape), which leaves the configuration dead; `violation`
+        holds the abort's WellFormednessViolation, or None after a halt.
+        Raises DeterminismError on a key with both a rule on `sym` and a λ
+        rule.
         """
         if self.dead:
             self.dead += 1
             return None
         node = self.node
-        key = (
-            self.state,
-            sym,
-            node.side,
-            "-" if node.left is None else "+",
-            "-" if node.right is None else "+",
-            node.label,
-        )
-        hit = self._trans.get(key)
-        if not self._real_time:
-            lam = self._trans.get((self.state, LAMBDA) + key[2:])
-            if lam is not None:
-                if hit is not None:
-                    raise DeterminismError(
-                        f"state {self.state!r} matches both symbol {sym!r} and λ"
-                    )
-                hit, sym = lam, LAMBDA
-        if hit is None:
+        try:
+            by_label = self._rows[sym]
+        except KeyError:  # outside the input alphabet: λ rules alone apply
+            by_label = self._rows[None]
+        entry = by_label[node.label][node._shape]
+        if entry is None:
             self.violation = None
             self.dead = 1
             return None
-        target, action = hit
-        if target is None:
+        target, op, _, consumed, action, rows = entry
+        if op >= _ABORT:
+            if op == _CLASH:
+                raise DeterminismError(f"state {self.state!r} matches both symbol {sym!r} and λ")
             self.violation = WellFormednessViolation(action, node.node_type(), node.path())
             self.dead = 1
             return None
-        new_node, record = self.tree.apply(node, action)
-        self._undo.append((self.state, node, record))
+        self.node, record = self.tree.apply(node, action)
+        self._undo.append((self.state, self._rows, node, record))
         self.state = target
-        self.node = new_node
-        return sym, action
+        self._rows = rows
+        return consumed, action
 
     def pop(self) -> None:
         """Take the latest `push` back."""
         if self.dead:
             self.dead -= 1
             return
-        state, node, record = self._undo.pop()
+        self.state, self._rows, self.node, record = self._undo.pop()
         self.tree.undo(record)
-        self.state = state
-        self.node = node
 
     def _feed(self, sym: str) -> bool:
         """Consume `sym` and the λ moves before it (after END, every move to
@@ -193,17 +200,11 @@ class Configuration:
             self._unfeed()
             return accepted
         node = self.node
-        hit = self._trans.get(
-            (
-                self.state,
-                END,
-                node.side,
-                "-" if node.left is None else "+",
-                "-" if node.right is None else "+",
-                node.label,
-            )
+        entry = self._rows[END][node.label][node._shape]
+        return (
+            entry is not None and entry.target in self._accepting
+            and len(self._undo) < self._budget
         )
-        return hit is not None and hit[0] in self._accepting and len(self._undo) < self._budget
 
 
 def _step_budget(machine: Machine, budget, default):
@@ -224,18 +225,26 @@ def _run(machine: Machine, word: Sequence[str], budget, trace: list | None, endm
     step to `trace` when it is a list.  Without `endmarker` the run stops
     as soon as the word is consumed, before the endmarker or any λ move
     after the last symbol; the verdict is then REJECTED.
+
+    The loop steps on the machine's step program itself, with no undo
+    record, since a run never backtracks: the program has decided λ and
+    legality, so each step is one indexed lookup and a plain pointer move
+    or tree edit.  Only an abort or a clash goes through
+    `Configuration.push`, which builds its violation or raises.
     """
-    for sym in word:
+    bad = set(word) - (set(machine.input_alphabet) - {END, LAMBDA})
+    if bad:
+        sym = next(s for s in word if s in bad)  # the first, as the error names it
         if sym == END or sym == LAMBDA:
             raise EndmarkerInInput(f"input word may not contain {sym!r}")
-        if sym not in machine.input_alphabet:
-            raise ValueError(f"symbol {sym!r} not in the input alphabet")
+        raise ValueError(f"symbol {sym!r} not in the input alphabet")
     budget = _step_budget(machine, budget, len(word) + 1)
     config = Configuration(machine)
-    push, forget = config.push, config._undo.pop  # a run never backtracks
+    tree, node, state, rows = config.tree, config.node, config.state, config._rows
     n = len(word)
     pointer = machine.initial_pointer
     steps = pos = 0
+    verdict = None
     while True:
         if pos < n:
             sym = word[pos]
@@ -243,39 +252,47 @@ def _run(machine: Machine, word: Sequence[str], budget, trace: list | None, endm
             break
         else:
             sym = END if pos == n else None
-        if steps >= budget:
-            # Halting still beats the budget: only a machine that would
-            # keep moving counts as cut off.  The look-ahead step is taken
-            # back, so the storage stays as the run left it.
-            if push(sym) is not None:
-                config.pop()
-            elif config.violation is None:
-                break
-            return Verdict.BUDGET_EXHAUSTED, config, steps, pos
-        state_before = config.state
-        moved = push(sym)
-        if moved is None:
-            if config.violation is not None:
-                return Verdict.WELL_FORMEDNESS_VIOLATION, config, steps, pos
+        entry = rows[sym][node.label][node._shape]
+        if entry is None:
             break
-        forget()
-        consumed, action = moved
+        target, op, label, consumed, action, next_rows = entry
+        if op >= _ABORT or steps >= budget:
+            # Halting still beats the budget: only a machine that would
+            # keep moving (or abort) counts as cut off, and its storage
+            # stays as the run left it.
+            if op == _CLASH or steps < budget:
+                config.state, config.node, config._rows = state, node, rows
+                config.push(sym)  # raises on a clash; records an abort's violation
+                return Verdict.WELL_FORMEDNESS_VIOLATION, config, steps, pos
+            verdict = Verdict.BUDGET_EXHAUSTED
+            break
+        if op == _OP_STAY:
+            pass
+        elif op == _OP_UP:
+            node = node.parent
+        elif op == _OP_DOWN_L:
+            node = node.left
+        elif op == _OP_DOWN_R:
+            node = node.right
+        elif op == _OP_PUSH:
+            node = tree._add_child(node, label, action[2])
+        else:  # _OP_POP
+            node = tree._remove_leaf(node)
         if consumed != LAMBDA:
             pos += 1
         steps += 1
         if trace is not None:
-            kind = action[0]
-            if kind == "up" or kind == "pop":
+            if op == _OP_UP or op == _OP_POP:
                 pointer = pointer[:-1]
-            elif kind == "push":
-                pointer += action[2]
-            elif kind != "stay":  # down-l, down-r
-                pointer += kind[-1]
-            trace.append(
-                StepRecord(steps - 1, state_before, consumed, action, pointer, config.tree.size)
-            )
-    accepted = pos > n and config.state in machine.accepting
-    return (Verdict.ACCEPTED if accepted else Verdict.REJECTED), config, steps, pos
+            elif op != _OP_STAY:  # down or push: onto the child
+                pointer += node.side
+            trace.append(StepRecord(steps - 1, state, consumed, action, pointer, tree.size))
+        state, rows = target, next_rows
+    config.state, config.node, config._rows = state, node, rows
+    if verdict is None:
+        accepted = pos > n and state in machine.accepting
+        verdict = Verdict.ACCEPTED if accepted else Verdict.REJECTED
+    return verdict, config, steps, pos
 
 
 def run(

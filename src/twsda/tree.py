@@ -4,15 +4,21 @@ The storage is a finite, non-empty, prefix-closed set of paths over
 ``{l, r}``.  The root (empty path) carries the reserved label ``⊥`` and is
 never removed; every other node carries a label from the machine's tree
 alphabet.  All navigation and edit operations at the pointer are O(1).
-Whether an action is legal depends only on the shape of its node, which
-every transition key spells out, so a machine decides it once per key
-(`Machine._table`) and `GammaTree.apply` does not check it.
+Each node keeps its shape code (`TreeNode._shape`), which the edits here
+keep up to date.  Whether an action is legal depends only on that shape,
+which every transition key spells out, so a machine decides it, and
+whether a λ rule applies, once per key when it compiles its step program
+(`Machine._program`); the edits here do not check it.
 """
 from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
 ROOT_LABEL = "⊥"
+
+# side -> shape code of a leaf on that side; a node's code adds 2 for a
+# left child and 1 for a right child
+_SHAPE_BASE = {"-": 0, "l": 4, "r": 8}
 
 # Actions are plain tuples so they hash fast and serialize trivially.
 UP = ("up",)
@@ -68,7 +74,7 @@ class WellFormednessViolation(Exception):
 
 
 class TreeNode:
-    __slots__ = ("label", "side", "parent", "left", "right")
+    __slots__ = ("label", "side", "parent", "left", "right", "_shape")
 
     def __init__(self, label: str, side: str, parent: "TreeNode | None"):
         self.label = label
@@ -76,6 +82,7 @@ class TreeNode:
         self.parent = parent
         self.left: TreeNode | None = None
         self.right: TreeNode | None = None
+        self._shape = _SHAPE_BASE[side]  # side·4 + 2·has_left + has_right
 
     def node_type(self) -> NodeType:
         return NodeType(
@@ -121,14 +128,49 @@ class GammaTree:
 
     # -- mutation ----------------------------------------------------------
 
+    def _add_child(self, node: TreeNode, label: str, side: str) -> TreeNode:
+        """Push a child labeled `label` on `side` of `node` and return it.
+
+        Unchecked: that side must be free.
+        """
+        return self._attach(TreeNode(label, side, node))
+
+    def _remove_leaf(self, node: TreeNode) -> TreeNode:
+        """Pop `node` and return its parent.
+
+        Unchecked: `node` must be a leaf other than the root.  It keeps
+        its parent and side, so `undo` can put it back.
+        """
+        parent = node.parent
+        if node.side == "l":
+            parent.left = None
+            parent._shape -= 2
+        else:
+            parent.right = None
+            parent._shape -= 1
+        self.size -= 1
+        return parent
+
+    def _attach(self, node: TreeNode) -> TreeNode:
+        """Hang the detached `node` under its parent again and return it."""
+        parent = node.parent
+        if node.side == "l":
+            parent.left = node
+            parent._shape += 2
+        else:
+            parent.right = node
+            parent._shape += 1
+        self.size += 1
+        return node
+
     def apply(self, node: TreeNode, action: tuple):
         """Apply `action` at `node`; returns the new pointer node and an
         undo record for `undo`.
 
         Unchecked: the action must be legal at the node's shape.  A move
         needs its target node, a push needs its side free, and a pop needs
-        a leaf other than the root.  A machine's step table decides this
-        once per transition key (`Machine._table`).
+        a leaf other than the root.  A machine's step program decides this
+        once per transition key (`Machine._program`).
         """
         kind = action[0]
         if kind == "stay":
@@ -140,22 +182,9 @@ class GammaTree:
         if kind == "down-r":
             return node.right, None
         if kind == "push":
-            side = action[2]
-            child = TreeNode(action[1], side, node)
-            if side == "l":
-                node.left = child
-            else:
-                node.right = child
-            self.size += 1
+            child = self._add_child(node, action[1], action[2])
             return child, ("push", child)
-        # pop
-        parent = node.parent
-        if node.side == "l":
-            parent.left = None
-        else:
-            parent.right = None
-        self.size -= 1
-        return parent, ("pop", node)
+        return self._remove_leaf(node), ("pop", node)
 
     def undo(self, record) -> None:
         """Revert a structural edit made by `apply`."""
@@ -163,17 +192,9 @@ class GammaTree:
             return
         kind, node = record
         if kind == "push":
-            if node.side == "l":
-                node.parent.left = None
-            else:
-                node.parent.right = None
-            self.size -= 1
+            self._remove_leaf(node)
         else:  # pop: the detached node still knows its parent and side
-            if node.side == "l":
-                node.parent.left = node
-            else:
-                node.parent.right = node
-            self.size += 1
+            self._attach(node)
 
     # -- serialization and checks -------------------------------------------
 
@@ -183,13 +204,9 @@ class GammaTree:
         while stack:
             src, dst = stack.pop()
             if src.left is not None:
-                dst.left = TreeNode(src.left.label, "l", dst)
-                other.size += 1
-                stack.append((src.left, dst.left))
+                stack.append((src.left, other._add_child(dst, src.left.label, "l")))
             if src.right is not None:
-                dst.right = TreeNode(src.right.label, "r", dst)
-                other.size += 1
-                stack.append((src.right, dst.right))
+                stack.append((src.right, other._add_child(dst, src.right.label, "r")))
         return other
 
     def snapshot(self, render: Callable[[str], str] = str) -> str:
@@ -231,14 +248,8 @@ class GammaTree:
                 else:
                     if len(slots[-1]) > 1:
                         raise ValueError("node with more than two children")
-                    holder = open_nodes[-1]
                     side = "l" if not slots[-1] else "r"
-                    node = TreeNode(label, side, holder)
-                    if side == "l":
-                        holder.left = node
-                    else:
-                        holder.right = node
-                    tree.size += 1
+                    node = tree._add_child(open_nodes[-1], label, side)
                     slots[-1].append(node)
                 open_nodes.append(node)
                 slots.append([])
@@ -262,7 +273,8 @@ class GammaTree:
         return tree
 
     def check_invariants(self) -> None:
-        """Assert prefix-closure bookkeeping, labels and size are consistent."""
+        """Assert prefix-closure bookkeeping, labels, shape codes and size
+        are consistent."""
         count = 0
         stack = [self.root]
         while stack:
@@ -275,6 +287,9 @@ class GammaTree:
                 assert node.parent is not None
                 attached = node.parent.left if node.side == "l" else node.parent.right
                 assert attached is node
+            assert node._shape == (
+                _SHAPE_BASE[node.side] + 2 * (node.left is not None) + (node.right is not None)
+            )
             if node.left is not None:
                 assert node.left.side == "l"
                 stack.append(node.left)

@@ -1,12 +1,14 @@
 """Cross-check the simulator against a naive reference implementation.
 
 The reference keeps the tree as a plain path→label mapping and transcribes
-the step relation directly, sharing no code or data structures with the
-production simulator.  Agreement on verdicts and step counts over many
-machines and words pins down the semantics from two independent sides.
+the step relation directly from `Machine.transitions`, sharing no code or
+data structures with the production simulator.  Agreement on verdicts,
+step counts, step traces and final trees over many machines and words pins
+down the semantics from two independent sides.
 """
 import itertools
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -31,24 +33,38 @@ from twsda.machine import (
     validate,
 )
 from twsda.oracles import LanguageOracle
-from twsda.simulate import Verdict, run
-from twsda.tree import ROOT_LABEL
+from twsda.simulate import Verdict, final_tree, run
+from twsda.tree import ROOT_LABEL, GammaTree
 
 
-def naive_run(machine: Machine, word: str, budget=None, endmarker=True):
-    """Reference semantics: returns (verdict_name, steps).
+def labels(tree: GammaTree) -> dict[str, str]:
+    """The tree as a path→label mapping."""
+    out, stack = {}, [(tree.root, "")]
+    while stack:
+        node, path = stack.pop()
+        out[path] = node.label
+        for side, child in (("l", node.left), ("r", node.right)):
+            if child is not None:
+                stack.append((child, path + side))
+    return out
+
+
+class NaiveOutcome(NamedTuple):
+    verdict: str
+    steps: int
+    tree: dict  # path -> label where the run stopped
+    records: list  # per step: state before, consumed, action, pointer, node count
+
+
+def naive_run(machine: Machine, word: str, budget=None, endmarker=True) -> NaiveOutcome:
+    """Reference semantics: the verdict's name, the step count, the final
+    tree and one record per step.
 
     Without `endmarker` the run stops as soon as the word is consumed, with
     the verdict "consumed"; that is how a left quotient reads its prefix.
     """
     if machine.initial_tree is not None:
-        tree, stack = {}, [(machine.initial_tree.root, "")]
-        while stack:
-            node, path = stack.pop()
-            tree[path] = node.label
-            for side, child in (("l", node.left), ("r", node.right)):
-                if child is not None:
-                    stack.append((child, path + side))
+        tree = labels(machine.initial_tree)
         pointer = machine.initial_pointer
     else:
         tree = {"": ROOT_LABEL}
@@ -58,6 +74,10 @@ def naive_run(machine: Machine, word: str, budget=None, endmarker=True):
     if budget is None:
         budget = len(word) + 1
     steps = 0
+    records: list = []
+
+    def stop(verdict):
+        return NaiveOutcome(verdict, steps, tree, records)
 
     def node_type(path):
         ancestry = "-" if path == "" else path[-1]
@@ -69,7 +89,7 @@ def naive_run(machine: Machine, word: str, budget=None, endmarker=True):
 
     while True:
         if not (endmarker or remaining):
-            return ("consumed", steps)
+            return stop("consumed")
         anc, hl, hr = node_type(pointer)
         label = tree[pointer]
         rule = None
@@ -84,34 +104,35 @@ def naive_run(machine: Machine, word: str, budget=None, endmarker=True):
                 consumes = False
         if rule is None:
             accepted = not remaining and state in machine.accepting
-            return ("accepted" if accepted else "rejected", steps)
+            return stop("accepted" if accepted else "rejected")
         if steps >= budget:
-            return ("budget-exhausted", steps)
+            return stop("budget-exhausted")
         target, action = rule
         kind = action[0]
         if kind == "up":
             if pointer == "":
-                return ("well-formedness-violation", steps)
+                return stop("well-formedness-violation")
             pointer = pointer[:-1]
         elif kind == "down-l":
             if pointer + "l" not in tree:
-                return ("well-formedness-violation", steps)
+                return stop("well-formedness-violation")
             pointer += "l"
         elif kind == "down-r":
             if pointer + "r" not in tree:
-                return ("well-formedness-violation", steps)
+                return stop("well-formedness-violation")
             pointer += "r"
         elif kind == "pop":
             if pointer == "" or pointer + "l" in tree or pointer + "r" in tree:
-                return ("well-formedness-violation", steps)
+                return stop("well-formedness-violation")
             del tree[pointer]
             pointer = pointer[:-1]
         elif kind == "push":
             child = pointer + action[2]
             if child in tree:
-                return ("well-formedness-violation", steps)
+                return stop("well-formedness-violation")
             tree[child] = action[1]
             pointer = child
+        records.append((state, remaining[0] if consumes else LAMBDA, action, pointer, len(tree)))
         if consumes:
             remaining.pop(0)
         state = target
@@ -119,10 +140,15 @@ def naive_run(machine: Machine, word: str, budget=None, endmarker=True):
 
 
 def agree(machine: Machine, word: str, budget=None):
-    got = run(machine, word, budget=budget)
-    want_verdict, want_steps = naive_run(machine, word, budget=budget)
-    assert got.verdict.value == want_verdict, (word, got.verdict.value, want_verdict)
-    assert got.steps_taken == want_steps, (word, got.steps_taken, want_steps)
+    """`run` and `final_tree` give the reference's verdict, step count, step
+    records and final tree."""
+    got = run(machine, word, budget=budget, traced=True)
+    want = naive_run(machine, word, budget=budget)
+    assert got.verdict.value == want.verdict, (word, got.verdict.value, want.verdict)
+    assert got.steps_taken == want.steps, (word, got.steps_taken, want.steps)
+    assert [rec.step_index for rec in got.trace] == list(range(want.steps)), word
+    assert [rec[1:] for rec in got.trace] == want.records, word
+    assert labels(final_tree(machine, word, budget=budget)) == want.tree, word
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
@@ -297,7 +323,7 @@ def test_random_machines_match_the_reference_within_a_budget(lam, data):
         even = [w for w in accepted if w.count("a") % 2 == 0]
         assert enumerate_accepted(product, 3, run_budget=budget) == even
         for prefix in words[:21]:  # every prefix up to length 2
-            verdict, steps = naive_run(machine, prefix, budget, endmarker=False)
+            verdict, steps, _, _ = naive_run(machine, prefix, budget, endmarker=False)
             try:
                 quotient = left_quotient(machine, prefix, budget=budget)
             except PrefixKillsMachine:

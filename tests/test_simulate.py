@@ -5,10 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from twsda.analysis import cross_check, enumerate_accepted
 from twsda.builders import build_expo, build_mi_hat, build_trie_p
 from twsda.combinators import left_quotient
 from twsda.machine import END, LAMBDA, TransitionRow, machine_from_rows
 from twsda.machinefile import parse_machine
+from twsda.oracles import LanguageOracle
 from twsda.simulate import (
     BudgetRequired,
     Configuration,
@@ -96,8 +98,19 @@ def test_symbol_rule_preferred_over_lambda_conflict_raises():
         row("q0", LAMBDA, "q2"),
     ]
     m = mk(rows, real_time=False)
+    assert m._program  # building the program never raises
     with pytest.raises(DeterminismError):
         run(m, "a", budget=5)
+    # every reader raises when it steps on the clash, prefix walks included
+    nothing = LanguageOracle("empty", ("a",), lambda w: False, lambda w: False)
+    with pytest.raises(DeterminismError):
+        cross_check(m, nothing, 2, run_budget=5)
+    with pytest.raises(DeterminismError):
+        enumerate_accepted(m, 2, run_budget=5)
+    at_end = mk(rows + [row("q0", END, "yes")], real_time=False)
+    assert at_end._program
+    with pytest.raises(DeterminismError):
+        Configuration(at_end, 5).accepts_now()
 
 
 def test_infinite_budget_allowed():

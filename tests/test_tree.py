@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from test_reference_semantics import naive_run
+from test_reference_semantics import labels, naive_run
 from twsda.machine import TransitionRow, machine_from_rows
 from twsda.simulate import Configuration
 from twsda.tree import (
@@ -18,17 +18,6 @@ from twsda.tree import (
     WellFormednessViolation,
     push,
 )
-
-
-def labels(tree: GammaTree) -> dict[str, str]:
-    out, stack = {}, [(tree.root, "")]
-    while stack:
-        node, path = stack.pop()
-        out[path] = node.label
-        for side, child in (("l", node.left), ("r", node.right)):
-            if child is not None:
-                stack.append((child, path + side))
-    return out
 
 
 def one_rule_machine(tree: GammaTree, path: str, action: tuple):
