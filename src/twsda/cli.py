@@ -82,11 +82,8 @@ def _symbol_text(symbol: str) -> str:
 
 
 def cmd_validate(args) -> int:
-    path = Path(args.machine)
-    if not path.exists():
-        raise CliError(f"no such machine file: {args.machine}")
     try:
-        machine = parse_machine(path.read_text(encoding="utf-8"), name=path.stem)
+        machine = load_machine(args.machine)
     except MachineFileError as exc:
         for diag in exc.diagnostics:
             print(diag)
@@ -184,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="diagnose a machine file")
-    p.add_argument("machine")
+    p = sub.add_parser("validate", help="diagnose a machine")
+    p.add_argument("machine", help="path or builtin:<name>")
     p.set_defaults(func=cmd_validate)
 
     def machine_args(p):

@@ -82,18 +82,20 @@ class Configuration:
     back, undoing its structural edit.  Each step is one indexed lookup in
     the machine's step program (`Machine._program`), which has already
     decided whether a λ rule applies and whether the action is legal at the
-    node's shape.  A prefix walk moves by symbol: by `push`/`pop` on a
-    real-time machine, else by `_feed`/`_unfeed`, which add the λ moves
-    before each symbol, within `budget` steps along the path (by default
-    unbounded if real-time, else missing).  A configuration whose machine
-    halted or aborted, or whose `_feed` ran out of budget, is dead: `dead`
-    counts the pushes since, and it rejects every extension.  The pointer's
-    path is `node.path()`.
+    node's shape.  A configuration whose machine halted or aborted is dead:
+    `dead` counts the pushes since, and it rejects every extension.
+    `accepts_now()` gives the verdict if the endmarker came next, within
+    `budget` steps in all (by default unbounded if real-time, else
+    missing).  The pointer's path is `node.path()`.
+
+    `run` and the prefix walks of `twsda.analysis` step on the same program
+    inline, with state, node and tree in local variables, and come here
+    only to raise a clash or to build an abort's violation.
     """
 
     __slots__ = (
         "state", "tree", "node", "dead", "violation",
-        "_rows", "_accepting", "_real_time", "_undo", "_budget", "_marks",
+        "_rows", "_accepting", "_real_time", "_undo", "_budget",
     )
 
     def __init__(self, machine: Machine, budget: int | float | None = None):
@@ -111,7 +113,6 @@ class Configuration:
         self._real_time = machine.real_time
         self._undo: list = []
         self._budget = math.inf if budget is None and machine.real_time else budget
-        self._marks: list[int] = []  # len(_undo) before each `_feed`
 
     def push(self, sym: str | None):
         """Make one step with `sym` (an input symbol, END, or None) at the head.
@@ -159,32 +160,6 @@ class Configuration:
         self.state, self._rows, self.node, record = self._undo.pop()
         self.tree.undo(record)
 
-    def _feed(self, sym: str) -> bool:
-        """Consume `sym` and the λ moves before it (after END, every move to
-        the halt); True if it did (after END: and did not abort).  A step past
-        the budget is taken back and leaves the configuration dead, as a halt.
-        """
-        self._marks.append(len(self._undo))
-        while True:
-            moved = self.push(sym)
-            if moved is None:
-                return sym is None and self.violation is None
-            if len(self._undo) - 1 >= self._budget:  # as in `_run`
-                self.pop()
-                self.dead = 1
-                return False
-            if moved[0] == END:
-                sym = None
-            elif moved[0] != LAMBDA:
-                return True
-
-    def _unfeed(self) -> None:
-        """Take the latest `_feed` back, λ moves included."""
-        mark = self._marks.pop()
-        self.pop()
-        while len(self._undo) > mark:
-            self.pop()
-
     def accepts_now(self) -> bool:
         """Would the endmarker arriving here leave the machine accepting?
 
@@ -196,8 +171,24 @@ class Configuration:
         if self.dead:
             return False
         if not self._real_time:
-            accepted = self._feed(END) and self.state in self._accepting
-            self._unfeed()
+            mark = len(self._undo)
+            sym = END
+            while True:
+                moved = self.push(sym)
+                if moved is None:  # halted, or aborted with a violation
+                    accepted = (
+                        sym is None and self.violation is None
+                        and self.state in self._accepting
+                    )
+                    self.dead = 0
+                    break
+                if len(self._undo) - 1 >= self._budget:  # begun with the budget spent
+                    accepted = False
+                    break
+                if moved[0] == END:
+                    sym = None
+            while len(self._undo) > mark:
+                self.pop()
             return accepted
         node = self.node
         entry = self._rows[END][node.label][node._shape]

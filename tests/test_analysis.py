@@ -1,5 +1,6 @@
 """Exact sequences, equivalence classes, shape predicates, cross-checks."""
 import dataclasses
+import itertools
 import math
 
 import pytest
@@ -21,7 +22,9 @@ from twsda.analysis import (
     l_equivalent,
     machines_agree,
 )
-from twsda.builders import build_expo, build_fib, build_trie_p
+from test_reference_semantics import naive_run
+from twsda.builders import BUILTINS, build_expo, build_fib, build_trie_p
+from twsda.combinators import complement, left_quotient
 from twsda.machine import END, LAMBDA, TransitionRow, machine_from_rows
 from twsda.oracles import ORACLES, LanguageOracle, lh_class_sample, oracle_expo, oracle_fib
 from twsda.simulate import BudgetRequired, Configuration, Verdict, run
@@ -245,6 +248,14 @@ def test_negative_max_len_is_refused():
             machines_agree(expo, expo, max_len)
 
 
+def test_prefix_walks_refuse_repeated_or_long_symbols():
+    expo = build_expo()
+    for alphabet in (("a", "a"), ("aa",)):
+        machine = dataclasses.replace(expo, input_alphabet=alphabet)
+        with pytest.raises(ValueError, match="distinct single-character symbols"):
+            enumerate_accepted(machine, 3)
+
+
 def test_budget_exceeded():
     expo, oracle = build_expo(), ORACLES["expo"]()
     expo_lambda = dataclasses.replace(expo, real_time=False)
@@ -277,37 +288,69 @@ def _depth_first(symbols, max_len, stop, word=""):
             yield from _depth_first(symbols, max_len, stop, word + sym)
 
 
+def spelling_machine(*, lam: bool):
+    """Reads a, b or c by pushing it as a left child and moving onto it, so
+    the storage's left spine spells the word read; accepts every word.
+
+    With `lam`, a λ hop follows every push, so the machine is not real-time
+    and a word of length n takes 2n+1 steps.
+    """
+    after_push = "hop" if lam else "q"
+    rows = [TransitionRow("q", END, "*", "*", "*", "*", "yes", STAY)]
+    rows += [TransitionRow("q", s, "*", "*", "*", "*", after_push, push(s, "l")) for s in "abc"]
+    if lam:
+        rows.append(TransitionRow("hop", LAMBDA, "*", "*", "*", "*", "q", STAY))
+    return machine_from_rows(
+        "spell", ("a", "b", "c"), ("a", "b", "c"), "q", ["yes"], rows,
+        real_time=not lam, non_erasing=True,
+    )
+
+
+def spine(tree: GammaTree) -> str:
+    labels = []
+    node = tree.root.left
+    while node is not None:
+        labels.append(node.label)
+        node = node.left
+    return "".join(labels)
+
+
 @given(
     symbols=st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True),
     max_len=st.integers(0, 5),
+    lam=st.booleans(),
     data=st.data(),
 )
-def test_prefix_dfs_visits_in_depth_first_order(symbols, max_len, data):
+def test_prefix_dfs_visits_in_depth_first_order(symbols, max_len, lam, data):
     stop = data.draw(st.sets(st.text(alphabet=symbols, max_size=max_len)))
     expected = list(_depth_first(symbols, max_len, stop))
-    path: list[str] = []
+    machine = spelling_machine(lam=lam)
     visited: list[str] = []
+    config = None
 
-    def visit(word):
-        assert len(word) == len(path)  # pushes minus pops
-        assert word == "".join(path)  # no stale tail after a backtrack
+    def visit(word, accepted, dead):
+        assert len(word) == config.tree.size - 1  # pushes minus pops
+        assert spine(config.tree) == word  # no stale tail after a backtrack
+        assert accepted and not dead
         visited.append(word)
         return word not in stop
 
     def walk(budget):
-        path.clear()
+        nonlocal config
+        config = Configuration(machine, 2 * max_len + 1)
         visited.clear()
-        _prefix_dfs(symbols, max_len, budget, path.append, path.pop, visit)
+        _prefix_dfs(config, symbols, max_len, budget, visit)
 
     walk(None)
     assert visited == expected
-    assert path == []  # every push was popped
+    assert config.tree.size == 1  # every step was taken back
+    config.tree.check_invariants()
 
     budget = data.draw(st.integers(0, len(expected) + 1))
     if budget < len(expected):
         with pytest.raises(BudgetExceeded):
             walk(budget)
-        assert "".join(path) == expected[budget]  # pushed, then refused
+        assert spine(config.tree) == expected[budget]  # pushed, then refused
     else:
         walk(budget)
     assert visited == expected[:budget]
@@ -356,6 +399,87 @@ def test_lambda_machine_checks_follow_the_real_time_walk():
     assert config.accepts_now() and run(lam, "a", budget=8).accepted
     with pytest.raises(BudgetRequired):
         Configuration(lam).accepts_now()
+
+
+ORACLE_OF = {
+    "expo": "expo", "fib": "fib", "cub": "cub",
+    "trie-p": "lp", "trie-p-hat": "lp-hat", "mi-hat": "mi-hat",
+}
+
+
+def logged(oracle: LanguageOracle, log: list) -> LanguageOracle:
+    """`oracle`, appending each call it answers to `log`."""
+
+    def membership(word):
+        log.append(("membership", word))
+        return oracle.membership(word)
+
+    def viable_prefix(word):
+        log.append(("viable_prefix", word))
+        return oracle.viable_prefix(word)
+
+    viable = None if oracle.viable_prefix is None else viable_prefix
+    return LanguageOracle(oracle.name, oracle.alphabet, membership, viable)
+
+
+def traffic_case(case: str):
+    """The machine, oracle, length and run budget of one traffic case."""
+    if case == "quotient":  # an initial tree of three nodes, pointer at "ll"
+        base = ORACLES["mi-hat"]()
+        oracle = LanguageOracle(
+            "mi-hat after ¢ab", base.alphabet,
+            lambda w: base.membership("¢ab" + w), lambda w: base.viable_prefix("¢ab" + w),
+        )
+        return left_quotient(BUILTINS["mi-hat"](), "¢ab"), oracle, 4, None
+    if case.startswith("lambda/"):  # symbols after the first take two steps
+        oracle = LanguageOracle(
+            "ends in a, no bb", ("a", "b"),
+            lambda w: w.endswith("a") and "bb" not in w, lambda w: "bb" not in w,
+        )
+        return ends_in_a(lam=True), oracle, 5, float(case.split("/")[1])
+    name, _, variant = case.partition("/")
+    machine, oracle = BUILTINS[name](), ORACLES[ORACLE_OF[name]]()
+    if variant == "complement":
+        machine = complement(machine)
+        oracle = LanguageOracle(
+            f"not {oracle.name}", oracle.alphabet,
+            lambda w, member=oracle.membership: not member(w), oracle.viable_prefix,
+        )
+    return machine, oracle, 30 if machine.input_alphabet == ("a",) else 4, None
+
+
+@pytest.mark.parametrize(
+    "case",
+    [*sorted(BUILTINS), *(f"{name}/complement" for name in sorted(BUILTINS)),
+     "quotient", "lambda/2.5", "lambda/5"],
+)
+def test_cross_check_oracle_traffic_follows_the_reference_walk(case):
+    """`cross_check` asks `membership` of exactly the words the plain
+    recursive walk visits, in its order, and `viable_prefix` of exactly
+    those the machine is dead in, when that walk stops below the dead words
+    the oracle finds not viable.  The bench counts `analysis.prefixes` and
+    `analysis.pruned` from these calls."""
+    machine, oracle, max_len, run_budget = traffic_case(case)
+    symbols = sorted(machine.input_alphabet)
+    words = [
+        "".join(parts)
+        for length in range(max_len + 1)
+        for parts in itertools.product(symbols, repeat=length)
+    ]
+    dead = {
+        w for w in words
+        if naive_run(machine, w, run_budget, endmarker=False).verdict != "consumed"
+    }
+    viable = oracle.viable_prefix
+    stop = {w for w in dead if viable is not None and not viable(w)}
+    expected = []
+    for word in _depth_first(symbols, max_len, stop):
+        expected.append(("membership", word))
+        if word in dead and viable is not None:
+            expected.append(("viable_prefix", word))
+    log: list = []
+    cross_check(machine, logged(oracle, log), max_len, run_budget=run_budget)
+    assert log == expected
 
 
 def test_run_budget_bounds_real_time_walks():

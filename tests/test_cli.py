@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from twsda.builders import build_fib
+from twsda.builders import BUILTINS, build_fib
 from twsda.cli import main
 from twsda.combinators import left_quotient
 from twsda.machinefile import export_machine
@@ -108,6 +108,12 @@ def test_validate_shipped(capsys):
 def test_validate_broken(capsys):
     code, out, _ = cli(capsys, "validate", str(BROKEN / "pop-in-nonerasing.twm"))
     assert code == 1 and "non-erasing-violation" in out
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_validate_builtin(capsys, name):
+    code, out, _ = cli(capsys, "validate", f"builtin:{name}")
+    assert code == 0 and out == "OK\n"
 
 
 def test_validate_missing_file(capsys):
