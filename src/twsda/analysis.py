@@ -201,8 +201,8 @@ class Mismatch:
         )
 
 
-# The undo record that opens the steps of one symbol, or of one verdict, on a
-# machine with λ moves: taking the steps back ends with it.
+# Opcode of the undo record that opens the steps of one symbol, or of one
+# verdict, on a machine with λ moves; taking those steps back ends with it.
 _MARK = -1
 
 

@@ -89,8 +89,8 @@ class Configuration:
     missing).  The pointer's path is `node.path()`.
 
     `run` and the prefix walks of `twsda.analysis` step on the same program
-    inline, with state, node and tree in local variables, and come here
-    only to raise a clash or to build an abort's violation.
+    inline, with state, node and tree in local variables; they come here
+    only to raise a clash, and `run` to build an abort's violation.
     """
 
     __slots__ = (
