@@ -14,7 +14,6 @@ from .analysis import (
     fibonacci,
     is_complete_binary,
     is_fibonacci_tree,
-    l_equivalent,
     machines_agree,
 )
 from .builders import (

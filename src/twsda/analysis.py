@@ -98,19 +98,6 @@ def _extensions(alphabet: Sequence[str], ell: int) -> list[str]:
     return out
 
 
-def l_equivalent(
-    oracle: LanguageOracle, w1: str, w2: str, ell: int, extension_alphabet: Sequence[str]
-) -> bool:
-    """Whether no extension of length at most ℓ (λ included) separates w1, w2.
-
-    ℓ = 0 is allowed as a degenerate case and compares membership only.
-    """
-    member = oracle.membership
-    return all(
-        member(w1 + u) == member(w2 + u) for u in _extensions(extension_alphabet, ell)
-    )
-
-
 @dataclass(frozen=True)
 class ClassPartition:
     ell: int

@@ -108,7 +108,8 @@ def cmd_trace(args) -> int:
     machine = load_machine(args.machine)
     word = parse_word(args.word)
     out = run(machine, word, budget=args.max_steps, traced=True)
-    # Snapshots replay each recorded action on a fresh copy of the storage.
+    # Snapshots replay the run's steps on a fresh configuration; a λ step
+    # replays with nothing at the head, where only λ rules apply.
     storage = Configuration(machine)
     for rec in out.trace:
         line = (
@@ -117,7 +118,7 @@ def cmd_trace(args) -> int:
             f"ptr={rec.pointer_after or 'λ'} nodes={rec.node_count_after}"
         )
         if args.snapshots:
-            storage.node = storage.tree.apply(storage.node, rec.action)[0]
+            storage.push(None if rec.consumed == LAMBDA else rec.consumed)
             line += f" {storage.tree.snapshot()}"
         print(line)
     return _verdict_exit(out, sys.stdout)

@@ -78,15 +78,17 @@ class Configuration:
     """A machine's state, storage tree and pointer node, and the one
     stepper every caller uses; the input is what the caller pushes.
 
-    `push(sym)` makes one step reading `sym`; `pop()` takes the latest step
-    back, undoing its structural edit.  Each step is one indexed lookup in
-    the machine's step program (`Machine._program`), which has already
-    decided whether a λ rule applies and whether the action is legal at the
-    node's shape.  A configuration whose machine halted or aborted is dead:
-    `dead` counts the pushes since, and it rejects every extension.
-    `accepts_now()` gives the verdict if the endmarker came next, within
-    `budget` steps in all (by default unbounded if real-time, else
-    missing).  The pointer's path is `node.path()`.
+    `push(sym)` makes one step reading `sym`: one indexed lookup in the
+    machine's step program (`Machine._program`), which has already decided
+    whether a λ rule applies and whether the action is legal at the node's
+    shape, and then the entry's opcode: a pointer move, a push or a pop.
+    `pop()` takes the latest step back by its opcode.  A configuration
+    whose machine halted or aborted is dead: `dead` counts the pushes
+    since, and it rejects every extension.  `violation` holds an abort's
+    WellFormednessViolation while the configuration is dead from it, and
+    is None whenever `dead` is 0.  `accepts_now()` gives the verdict if the
+    endmarker came next, within `budget` steps in all (by default unbounded
+    if real-time, else missing).  The pointer's path is `node.path()`.
 
     `run` and the prefix walks of `twsda.analysis` step on the same program
     inline, with state, node and tree in local variables; they come here
@@ -111,7 +113,7 @@ class Configuration:
         self._rows = machine._program[machine.start]  # the state's part of the program
         self._accepting = machine.accepting
         self._real_time = machine.real_time
-        self._undo: list = []
+        self._undo: list = []  # per step: (state, rows, node, op) before it
         self._budget = math.inf if budget is None and machine.real_time else budget
 
     def push(self, sym: str | None):
@@ -122,9 +124,8 @@ class Configuration:
         action), where consumed is `sym` or LAMBDA, or None when the
         machine halts or hits an abort entry (an action illegal at the
         node's shape), which leaves the configuration dead; `violation`
-        holds the abort's WellFormednessViolation, or None after a halt.
-        Raises DeterminismError on a key with both a rule on `sym` and a λ
-        rule.
+        then holds the abort's WellFormednessViolation.  Raises
+        DeterminismError on a key with both a rule on `sym` and a λ rule.
         """
         if self.dead:
             self.dead += 1
@@ -136,18 +137,26 @@ class Configuration:
             by_label = self._rows[None]
         entry = by_label[node.label][node._shape]
         if entry is None:
-            self.violation = None
             self.dead = 1
             return None
-        target, op, _, consumed, action, rows = entry
+        target, op, label, consumed, action, rows = entry
         if op >= _ABORT:
             if op == _CLASH:
                 raise DeterminismError(f"state {self.state!r} matches both symbol {sym!r} and λ")
             self.violation = WellFormednessViolation(action, node.node_type(), node.path())
             self.dead = 1
             return None
-        self.node, record = self.tree.apply(node, action)
-        self._undo.append((self.state, self._rows, node, record))
+        self._undo.append((self.state, self._rows, node, op))
+        if op == _OP_UP:  # a stay leaves the pointer where it is
+            self.node = node.parent
+        elif op == _OP_DOWN_L:
+            self.node = node.left
+        elif op == _OP_DOWN_R:
+            self.node = node.right
+        elif op == _OP_PUSH:
+            self.node = self.tree._add_child(node, label, action[2])
+        elif op == _OP_POP:
+            self.node = self.tree._remove_leaf(node)
         self.state = target
         self._rows = rows
         return consumed, action
@@ -156,9 +165,15 @@ class Configuration:
         """Take the latest `push` back."""
         if self.dead:
             self.dead -= 1
+            if not self.dead:
+                self.violation = None
             return
-        self.state, self._rows, self.node, record = self._undo.pop()
-        self.tree.undo(record)
+        self.state, self._rows, prev, op = self._undo.pop()
+        if op == _OP_PUSH:
+            self.tree._remove_leaf(self.node)
+        elif op == _OP_POP:
+            self.tree._attach(prev)
+        self.node = prev
 
     def accepts_now(self) -> bool:
         """Would the endmarker arriving here leave the machine accepting?
@@ -180,7 +195,7 @@ class Configuration:
                         sym is None and self.violation is None
                         and self.state in self._accepting
                     )
-                    self.dead = 0
+                    self.pop()  # revive: a halt or an abort made no step
                     break
                 if len(self._undo) - 1 >= self._budget:  # begun with the budget spent
                     accepted = False

@@ -8,7 +8,10 @@ Each node keeps its shape code (`TreeNode._shape`), which the edits here
 keep up to date.  Whether an action is legal depends only on that shape,
 which every transition key spells out, so a machine decides it, and
 whether a λ rule applies, once per key when it compiles its step program
-(`Machine._program`); the edits here do not check it.
+(`Machine._program`).  A step is one of the program's opcodes: a pointer
+move, a push (`_add_child`) or a pop (`_remove_leaf`), taken back by
+`_remove_leaf` or `_attach`; these edits do not check legality.  Action
+tuples are data: the rows of a machine, its file and its trace.
 """
 from __future__ import annotations
 
@@ -139,7 +142,7 @@ class GammaTree:
         """Pop `node` and return its parent.
 
         Unchecked: `node` must be a leaf other than the root.  It keeps
-        its parent and side, so `undo` can put it back.
+        its parent and side, so `_attach` can put it back.
         """
         parent = node.parent
         if node.side == "l":
@@ -162,39 +165,6 @@ class GammaTree:
             parent._shape += 1
         self.size += 1
         return node
-
-    def apply(self, node: TreeNode, action: tuple):
-        """Apply `action` at `node`; returns the new pointer node and an
-        undo record for `undo`.
-
-        Unchecked: the action must be legal at the node's shape.  A move
-        needs its target node, a push needs its side free, and a pop needs
-        a leaf other than the root.  A machine's step program decides this
-        once per transition key (`Machine._program`).
-        """
-        kind = action[0]
-        if kind == "stay":
-            return node, None
-        if kind == "up":
-            return node.parent, None
-        if kind == "down-l":
-            return node.left, None
-        if kind == "down-r":
-            return node.right, None
-        if kind == "push":
-            child = self._add_child(node, action[1], action[2])
-            return child, ("push", child)
-        return self._remove_leaf(node), ("pop", node)
-
-    def undo(self, record) -> None:
-        """Revert a structural edit made by `apply`."""
-        if record is None:
-            return
-        kind, node = record
-        if kind == "push":
-            self._remove_leaf(node)
-        else:  # pop: the detached node still knows its parent and side
-            self._attach(node)
 
     # -- serialization and checks -------------------------------------------
 

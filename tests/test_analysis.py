@@ -19,16 +19,16 @@ from twsda.analysis import (
     fibonacci,
     is_complete_binary,
     is_fibonacci_tree,
-    l_equivalent,
     machines_agree,
 )
 from test_reference_semantics import naive_run
+from test_tree import complete_tree
 from twsda.builders import BUILTINS, build_expo, build_fib, build_trie_p
 from twsda.combinators import complement, left_quotient
 from twsda.machine import END, LAMBDA, TransitionRow, machine_from_rows
 from twsda.oracles import ORACLES, LanguageOracle, lh_class_sample, oracle_expo, oracle_fib
 from twsda.simulate import BudgetRequired, Configuration, Verdict, run
-from twsda.tree import GammaTree, ROOT_LABEL, STAY, UP, push
+from twsda.tree import GammaTree, ROOT_LABEL, STAY, push
 
 
 def test_fibonacci_prefix():
@@ -81,21 +81,27 @@ def test_class_upper_bound_values():
         class_upper_bound(0, 1, 1)
 
 
+def l_equivalent(oracle, w1, w2, ell):
+    """Whether no extension over {a} of length at most ℓ separates w1 and
+    w2: whether the two words make one class."""
+    return count_classes(oracle, [w1, w2], ell, ("a",)).count == 1
+
+
 def test_l_equivalent_examples():
     oracle = oracle_expo()
-    assert l_equivalent(oracle, "aaaa", "aaaa", 3, ("a",))
-    assert l_equivalent(oracle, "aaa", "a" * 7, 1, ("a",))
-    assert not l_equivalent(oracle, "aaa", "aaaa", 1, ("a",))
+    assert l_equivalent(oracle, "aaaa", "aaaa", 3)
+    assert l_equivalent(oracle, "aaa", "a" * 7, 1)
+    assert not l_equivalent(oracle, "aaa", "aaaa", 1)
     # lambda-only degenerate case compares membership
-    assert l_equivalent(oracle, "a", "aa", 0, ("a",))
-    assert not l_equivalent(oracle, "a", "aaa", 0, ("a",))
+    assert l_equivalent(oracle, "a", "aa", 0)
+    assert not l_equivalent(oracle, "a", "aaa", 0)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=12), min_size=3, max_size=3))
 def test_l_equivalent_is_an_equivalence(ns):
     oracle = oracle_fib()
     w = ["a" * n for n in ns]
-    eq = lambda x, y: l_equivalent(oracle, x, y, 2, ("a",))
+    eq = lambda x, y: l_equivalent(oracle, x, y, 2)
     assert eq(w[0], w[0])
     assert eq(w[0], w[1]) == eq(w[1], w[0])
     if eq(w[0], w[1]) and eq(w[1], w[2]):
@@ -107,7 +113,7 @@ def test_negative_ell_is_refused():
         with pytest.raises(ValueError, match="ell must be >= 0"):
             count_classes(oracle_expo(), ["a", "aa"], ell, ("a",))
         with pytest.raises(ValueError, match="ell must be >= 0"):
-            l_equivalent(oracle_expo(), "a", "aa", ell, ("a",))
+            l_equivalent(oracle_expo(), "a", "aa", ell)
 
 
 def test_count_classes_singleton():
@@ -149,21 +155,6 @@ def test_count_classes_below_machine_bound():
             part = count_classes(oracle, sample, ell, machine.input_alphabet)
             bound = class_upper_bound(len(machine.states), len(machine.tree_alphabet), ell)
             assert part.count <= bound
-
-
-def complete_tree(level):
-    tree = GammaTree()
-
-    def grow(node, remaining):
-        if remaining == 0:
-            return
-        for side in ("l", "r"):
-            child, _ = tree.apply(node, push("x", side))
-            grow(child, remaining - 1)
-            tree.apply(child, UP)
-
-    grow(tree.root, level - 1)
-    return tree
 
 
 def test_shape_predicates_base_cases():

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from twsda.builders import BUILTINS, build_fib
+from test_analysis import spelling_machine
+from twsda.builders import BUILTINS, build_fib, build_mi_hat
 from twsda.cli import main
 from twsda.combinators import left_quotient
 from twsda.machinefile import export_machine
@@ -71,6 +72,24 @@ def test_trace_snapshots(tmp_path, capsys):
     assert len(snapshots) == 12 and len(set(snapshots)) > 1
     for i, snapshot in enumerate(snapshots):
         assert snapshot == final_tree(machine, word, budget=i + 1).snapshot(), i
+    # Pops, on a built-in; λ steps, on a machine file, accepted and cut off.
+    spell = spelling_machine(lam=True)
+    path = tmp_path / "spell.twm"
+    path.write_text(export_machine(spell), encoding="utf-8")
+    cases = [
+        ("builtin:mi-hat", build_mi_hat(), "ab¢ab$ba▶", "12", "act=pop", "ACCEPT steps=10"),
+        (str(path), spell, "abca", "12", "in=λ", "ACCEPT steps=9"),
+        (str(path), spell, "abca", "6", "in=λ", "BUDGET-EXHAUSTED steps=6"),
+    ]
+    for locator, machine, word, budget, step, last in cases:
+        _, out, _ = cli(
+            capsys, "trace", locator, "--word", word, "--max-steps", budget, "--snapshots"
+        )
+        lines = out.splitlines()
+        assert lines[-1] == last and any(f" {step} " in line for line in lines)
+        for i, line in enumerate(lines[:-1]):
+            snapshot = line.split(" ", 6)[6]
+            assert snapshot == final_tree(machine, word, budget=i + 1).snapshot(), (word, i)
 
 
 def test_enum_lists_words_in_order(capsys):

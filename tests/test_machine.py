@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from test_machinefile import _actions, _states
 from test_reference_semantics import _busy_rows, naive_run
+from test_tree import steps
 from twsda.builders import BUILTINS, build_expo
 from twsda.combinators import complement, left_quotient
 from twsda.machine import (
@@ -31,7 +32,7 @@ from twsda.machine import (
     validate,
 )
 from twsda.simulate import Configuration, run
-from twsda.tree import POP, ROOT_LABEL, STAY, UP, GammaTree, push
+from twsda.tree import POP, ROOT_LABEL, STAY, UP, GammaTree
 
 
 def row(state, symbol, anc, hl, hr, label, target, action=STAY, origin=None):
@@ -177,11 +178,9 @@ def test_validate_unknown_symbols():
 
 
 def test_validate_reports_a_deep_label_outside_the_alphabet():
-    tree = GammaTree()
-    node = tree.root
-    for i in range(3000):
-        label = "z" if i in (1500, 2999) else "x"
-        node = tree.apply(node, push(label, "l" if i % 2 else "r"))[0]
+    tree = steps(*[
+        ("z" if i in (1500, 2999) else "x") + ("l" if i % 2 else "r") for i in range(3000)
+    ]).tree
     deep = "rl" * 1500
     m = simple_machine([], initial_tree=tree, initial_pointer=deep)
     assert [(v.kind, v.message) for v in validate(m)] == [
@@ -192,8 +191,7 @@ def test_validate_reports_a_deep_label_outside_the_alphabet():
 
 def test_validate_reports_a_pointer_off_the_l_r_alphabet():
     machine = build_expo()
-    tree = GammaTree()
-    tree.apply(tree.root, push(machine.tree_alphabet[0], "r"))
+    tree = GammaTree.from_snapshot(f"({ROOT_LABEL} . ({machine.tree_alphabet[0]} . .))")
     m = dataclasses.replace(machine, initial_tree=tree, initial_pointer="x")
     assert [(v.kind, v.message) for v in validate(m)] == [
         (BAD_INITIAL_CONFIG, "initial pointer 'x' not in the initial tree")

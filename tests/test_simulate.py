@@ -4,11 +4,13 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from test_reference_semantics import _busy_rows, _lambda_rows
 from twsda.analysis import cross_check, enumerate_accepted
 from twsda.builders import build_expo, build_mi_hat, build_trie_p
 from twsda.combinators import left_quotient
-from twsda.machine import END, LAMBDA, TransitionRow, machine_from_rows
+from twsda.machine import END, LAMBDA, SpecificityConflict, TransitionRow, machine_from_rows
 from twsda.machinefile import parse_machine
 from twsda.oracles import LanguageOracle
 from twsda.simulate import (
@@ -20,7 +22,7 @@ from twsda.simulate import (
     final_tree,
     run,
 )
-from twsda.tree import DOWN_R, ROOT_LABEL, STAY, UP, push
+from twsda.tree import DOWN_L, DOWN_R, POP, ROOT_LABEL, STAY, UP, WellFormednessViolation, push
 
 
 def mk(rows, *, accept=("yes",), real_time=True, non_erasing=True, alphabet=("a",)):
@@ -131,6 +133,101 @@ def test_well_formedness_violation_outcome():
     out = run(m, "a")
     assert out.verdict is Verdict.WELL_FORMEDNESS_VIOLATION
     assert out.halt_state == "q0" and out.steps_taken == 0
+
+
+def test_taking_back_an_aborted_step_clears_the_violation():
+    rows = [row("q0", "a", "q0"), row("q0", "b", "q0", POP)]
+    config = Configuration(mk(rows, alphabet=("a", "b"), non_erasing=False))
+    assert config.push("b") is None  # popping the root is illegal
+    assert config.dead == 1 and isinstance(config.violation, WellFormednessViolation)
+    config.pop()
+    assert config.dead == 0 and config.violation is None
+    assert config.push("a") == ("a", STAY)
+    assert config.dead == 0 and config.violation is None
+
+
+def test_accepts_now_leaves_no_violation_behind():
+    # the endmarker step leads to a λ move up at the root, which aborts
+    rows = [row("q0", "a", "q0"), row("q0", END, "q1"), row("q1", LAMBDA, "yes", UP)]
+    config = Configuration(mk(rows, real_time=False), 5)
+    assert config.push("a") == ("a", STAY)
+    assert not config.accepts_now()
+    assert config.dead == 0 and config.violation is None
+    assert config.push("a") == ("a", STAY)
+    assert config.dead == 0 and config.violation is None
+
+
+def seen(config: Configuration) -> tuple:
+    violation = config.violation and str(config.violation)
+    return config.state, config.node.path(), config.tree.snapshot(), config.dead, violation
+
+
+def attempt(step):
+    """What `step()` returns, or DeterminismError when it raises that."""
+    try:
+        return step()
+    except DeterminismError:
+        return DeterminismError
+
+
+# Halts only with nothing at the head: `a` and `b` push a left or right
+# child, or move onto it where there is one; `¢` pops a leaf and moves up
+# from any other node; `⊳` pops anywhere, so it aborts on the illegal ones.
+_POPPER = [
+    row("q0", "a", "q0", push("x", "l"), anc="*", hl="-"),
+    row("q0", "a", "q0", DOWN_L, anc="*", hl="+"),
+    row("q0", "b", "q0", push("y", "r"), anc="*", hr="-"),
+    row("q0", "b", "q0", DOWN_R, anc="*", hr="+"),
+    row("q0", "¢", "q0", UP, anc="*"),
+    row("q0", "¢", "q0", POP, anc="l", hl="-", hr="-"),
+    row("q0", "¢", "q0", POP, anc="r", hl="-", hr="-"),
+    row("q0", "⊳", "q0", POP, anc="*"),
+    row("q0", END, "q0", anc="*"),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["pops", "real-time", "λ"]), st.data())
+def test_pop_takes_a_configuration_back_to_its_pushes(kind, data):
+    """After any mix of pushes, pops and `accepts_now` calls, on real-time
+    and λ machines with pops and illegal actions, a configuration is the
+    one a fresh configuration reaches on the symbols still pushed."""
+    lam = kind == "λ"
+    rows = _POPPER if kind == "pops" else data.draw(_lambda_rows() if lam else _busy_rows())
+    try:
+        machine = machine_from_rows(
+            "rand", ("a", "b", "¢", "⊳"), ("x", "y"), "q0", ["final"], rows,
+            real_time=not lam, non_erasing=False,
+        )
+    except SpecificityConflict:
+        assume(False)
+    budget = 6 if lam else None
+    config = Configuration(machine, budget)
+    pushed: list = []
+
+    def fresh() -> Configuration:
+        again = Configuration(machine, budget)
+        for sym in pushed:
+            again.push(sym)
+        return again
+
+    # as many pops as pushes, so that a dead configuration comes back to life
+    ops = st.sampled_from(["a", "b", "¢"] * 2 + ["⊳", END, None] + ["pop"] * 9 + ["accepts"])
+    for op in data.draw(st.lists(ops, min_size=10, max_size=40)):
+        if op == "pop":
+            if not pushed:
+                continue
+            config.pop()
+            pushed.pop()
+        elif op == "accepts":
+            verdict = attempt(config.accepts_now)
+            assert verdict == attempt(fresh().accepts_now)
+            if verdict is DeterminismError:  # the steps it began stay made
+                return
+        elif attempt(lambda: config.push(op)) is not DeterminismError:
+            pushed.append(op)
+        assert seen(config) == seen(fresh()), (pushed, op)
+        config.tree.check_invariants()
 
 
 def test_trace_records_are_consecutive_and_complete():

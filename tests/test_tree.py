@@ -33,6 +33,25 @@ def step_once(tree: GammaTree, path: str, action: tuple) -> Configuration:
     return config
 
 
+# A real-time machine whose input names its steps: `xl` pushes an x as a left
+# child, `yr` a y as a right one (for x, y and z on either side), `u` moves up.
+_STEPS = {label + side: push(label, side) for label in "xyz" for side in "lr"}
+_STEPS["u"] = UP
+STEPPER = machine_from_rows(
+    "stepper", tuple(_STEPS), ("x", "y", "z"), "q", (),
+    [TransitionRow("q", sym, "*", "*", "*", "*", "q", action) for sym, action in _STEPS.items()],
+    True, False,
+)
+
+
+def steps(*symbols: str) -> Configuration:
+    """A fresh `STEPPER` configuration after the steps `symbols` name."""
+    config = Configuration(STEPPER)
+    for sym in symbols:
+        assert config.push(sym) is not None
+    return config
+
+
 def test_fresh_tree_is_single_root():
     tree = GammaTree()
     assert tree.size == 1
@@ -41,28 +60,29 @@ def test_fresh_tree_is_single_root():
 
 
 def test_node_type_of_fresh_left_leaf():
-    tree = GammaTree()
-    node, _ = tree.apply(tree.root, push("x", "l"))
+    config = steps("xl")
+    tree, node = config.tree, config.node
     assert node.path() == "l"
     assert tree.node_at("l").node_type() == ("l", "-", "-")
     assert tree.root.node_type() == ("-", "+", "-")
 
 
 def complete_tree(level: int) -> GammaTree:
-    """Build a complete binary tree of the given level by pushes only."""
-    tree = GammaTree()
+    """Build a complete binary tree of the given level by pushes and moves up."""
+    config = steps()
 
-    def grow(node, remaining: int):
+    def grow(remaining: int):
         if remaining == 0:
             return
+        node = config.node
         for side in ("l", "r"):
-            child, _ = tree.apply(node, push("x", side))
-            grow(child, remaining - 1)
-            back, _ = tree.apply(child, UP)
-            assert back is node
+            config.push("x" + side)
+            grow(remaining - 1)
+            config.push("u")
+            assert config.node is node
 
-    grow(tree.root, level - 1)
-    return tree
+    grow(level - 1)
+    return config.tree
 
 
 def test_node_type_complete_level_three():
@@ -73,17 +93,15 @@ def test_node_type_complete_level_three():
 
 
 def test_stay_changes_nothing():
-    tree = GammaTree()
-    before = labels(tree)
-    node, _ = tree.apply(tree.root, STAY)
-    assert node.path() == "" and labels(tree) == before
+    before = labels(GammaTree())
+    config = step_once(GammaTree(), "", STAY)
+    assert config.node.path() == "" and labels(config.tree) == before
 
 
 def test_push_appends_and_descends():
-    tree = GammaTree()
-    node, _ = tree.apply(tree.root, push("x", "r"))
-    assert node.path() == "r"
-    assert sorted(labels(tree)) == ["", "r"]
+    config = steps("xr")
+    assert config.node.path() == "r"
+    assert sorted(labels(config.tree)) == ["", "r"]
 
 
 def test_pop_at_root_is_a_violation():
@@ -121,7 +139,7 @@ def test_path_absent():
     tree = GammaTree()
     with pytest.raises(PathAbsent):
         tree.node_at("lr")
-    tree.apply(tree.root, push("x", "r"))
+    tree = steps("xr").tree
     with pytest.raises(PathAbsent):
         tree.node_at("x")
 
@@ -139,9 +157,10 @@ def test_snapshot_of_root():
 
 
 def test_clone_is_independent():
-    tree = complete_tree(2)
+    config = steps("xr", "u", "xl")  # complete of level 2, at node l
+    tree = config.tree
     twin = tree.clone()
-    tree.apply(tree.node_at("l"), push("y", "l"))
+    config.push("yl")
     assert twin.size == 3 and tree.size == 4
 
 
@@ -157,20 +176,22 @@ def test_random_walk_keeps_invariants(moves):
     }
     for code in moves:
         action = actions[code]
-        node = tree.node_at(path)
         size = tree.size
         machine = one_rule_machine(tree, path, action)
         config = Configuration(machine)
         config.push("a")
-        if naive_run(machine, "a")[0] == "well-formedness-violation":
+        want = naive_run(machine, "a")
+        if want.verdict == "well-formedness-violation":
             assert isinstance(config.violation, WellFormednessViolation)
             continue
         assert config.violation is None
-        new_path = tree.apply(node, action)[0].path()
+        new_path = want.records[0][3]  # the reference's pointer after the step
         assert config.node.path() == new_path
         # up and pop drop the last step; the rest append their side, if any
         assert new_path == (path[:-1] if code in ("u", "pop") else path + code[1:])
         path = new_path
+        tree = config.tree
+        assert labels(tree) == want.tree
         tree.check_invariants()
         assert tree.has(path)
         expected = size + (1 if action[0] == "push" else -1 if action[0] == "pop" else 0)
@@ -199,10 +220,7 @@ def test_snapshot_rejects_malformed(bad):
 def test_deep_tree_clone_and_snapshot():
     # a 1500-deep spine exceeds the default recursion limit if any of the
     # tree walks recurse
-    tree = GammaTree()
-    node = tree.root
-    for _ in range(1500):
-        node, _ = tree.apply(node, push("x", "l"))
+    tree = steps(*["xl"] * 1500).tree
     twin = tree.clone()
     assert twin.size == tree.size == 1501
     text = tree.snapshot()
