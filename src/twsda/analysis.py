@@ -5,9 +5,9 @@ enters any reported value.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 from .machine import (
@@ -89,15 +89,6 @@ def class_upper_bound(state_count: int, tree_symbol_count: int, ell: int) -> int
 # -- equivalence classes -------------------------------------------------------
 
 
-def _extensions(alphabet: Sequence[str], ell: int) -> list[str]:
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    out = [""]
-    for length in range(1, ell + 1):
-        out.extend("".join(p) for p in itertools.product(alphabet, repeat=length))
-    return out
-
-
 @dataclass(frozen=True)
 class ClassPartition:
     ell: int
@@ -106,6 +97,26 @@ class ClassPartition:
     @property
     def count(self) -> int:
         return len(self.classes)
+
+
+class _MembershipStepper:
+    """An oracle stepper for an oracle with `membership` alone: each
+    `member()` is one `membership` call on the word plus the pushes."""
+
+    __slots__ = ("_membership", "_word")
+
+    def __init__(self, membership, word: str):
+        self._membership = membership
+        self._word = word
+
+    def push(self, sym: str) -> None:
+        self._word += sym
+
+    def pop(self) -> None:
+        self._word = self._word[:-1]
+
+    def member(self) -> bool:
+        return self._membership(self._word)
 
 
 def count_classes(
@@ -117,16 +128,47 @@ def count_classes(
     """Partition `sample` into ℓ-equivalence classes with respect to `oracle`.
 
     Words are grouped by their membership signature over all extensions of
-    length at most ℓ, so two words share a class exactly when they are
-    ℓ-equivalent.  The class count lower-bounds the number of classes of
-    the whole language.
+    length at most ℓ (concatenations of up to ℓ entries of
+    `extension_alphabet`), so two words share a class exactly when they
+    are ℓ-equivalent.  The class count lower-bounds the number of classes
+    of the whole language.
+
+    Each word gets one oracle stepper (`LanguageOracle.stepper`, or one
+    `membership` call per extension without it), and the extensions are
+    walked depth first by pushing and popping the symbols of each entry.
+    The walk is planned once: in `plan`, a symbol is pushed, None pops
+    one, and True records `member()` into the word's signature.
     """
-    exts = _extensions(extension_alphabet, ell)
-    member = oracle.membership
+    if ell < 0:
+        raise ValueError("ell must be >= 0")
+    make = oracle.stepper or partial(_MembershipStepper, oracle.membership)
+    entries = list(extension_alphabet)
+    plan: list = []
+
+    def extend(depth):
+        for entry in entries:
+            plan.extend(entry)
+            plan.append(True)
+            if depth:
+                extend(depth - 1)
+            plan.extend([None] * len(entry))
+
+    if ell:
+        extend(ell - 1)
     groups: dict[tuple, list[str]] = {}
     for word in sample:
-        sig = tuple(member(word + u) for u in exts)
-        groups.setdefault(sig, []).append(word)
+        stepper = make(word)
+        push, pop, member = stepper.push, stepper.pop, stepper.member
+        sig = [member()]
+        put = sig.append
+        for op in plan:
+            if op is None:
+                pop()
+            elif op is True:
+                put(member())
+            else:
+                push(op)
+        groups.setdefault(tuple(sig), []).append(word)
     classes = sorted(
         (tuple(sorted(ws, key=lambda w: (len(w), w))) for ws in groups.values()),
         key=lambda c: (len(c[0]), c[0]),

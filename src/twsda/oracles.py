@@ -7,6 +7,12 @@ extension of a word (of any length) belongs to the language.  That lets
 the checker skip subtrees where a halted machine and a hopeless prefix
 are guaranteed to keep agreeing.
 
+An oracle may also expose `stepper`, a factory: `stepper(word)` returns
+an object placed after `word` with `push(sym)`, `pop()` and `member()`,
+where `member()` equals `membership(word + pushed)` and `pop()` takes back
+the latest push (never a symbol of `word`).  It answers a family of
+extensions of one word without re-reading the word for each of them.
+
 Words are plain strings; every symbol is one character:
 
     a b $            letters and padding
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 CENT = "¢"
 MARK = "⊳"
@@ -33,12 +39,16 @@ UNPRIME = {"A": "a", "B": "b"}
 
 @dataclass(frozen=True)
 class LanguageOracle:
-    """A named alphabet plus a total membership predicate."""
+    """A named alphabet plus a total membership predicate.
+
+    `viable_prefix` and `stepper` are optional; see the module docstring.
+    """
 
     name: str
     alphabet: tuple[str, ...]
     membership: Callable[[str], bool]
     viable_prefix: Callable[[str], bool] | None = None
+    stepper: Callable[[str], Any] | None = None
 
 
 def pair_expand(word: str) -> str | None:
@@ -259,7 +269,73 @@ def oracle_lh() -> LanguageOracle:
         xs = body.split("$") if body else [""]
         return any(x[::-1] == image for x in xs)
 
-    return LanguageOracle("lh", ("a", "b", "$", MARK, "0", "1", "2", "3"), member)
+    return LanguageOracle(
+        "lh", ("a", "b", "$", MARK, "0", "1", "2", "3"), member, stepper=_LhStepper
+    )
+
+
+_NOT_BODY = str.maketrans("", "", "ab$")  # deletes what a body may hold
+_NOT_QUERY = str.maketrans("", "", "0123")  # deletes what a query may hold
+_QUERY_IMAGE = str.maketrans(BLOCK_IMAGE)
+
+
+class _LhStepper:
+    """The `lh` oracle's stepper: `member()` is `lh` membership of the word
+    it was built from plus the symbols pushed since.
+
+    It keeps the set of reversed closed blocks, the open block reversed
+    (None once ⊳ is read), the image of the query so far, and a count of
+    symbols no extension can repair: a symbol outside {a, b, $} before ⊳,
+    or outside the block symbols after it (a second ⊳ among them).  The
+    word is parsed once with `str` methods.  Each push keeps an undo
+    record of those fields and of the block it added to the set, if any,
+    so a pop restores them exactly and revives after a bad symbol.
+    """
+
+    __slots__ = ("_blocks", "_open", "_image", "_bad", "_undo")
+
+    def __init__(self, word: str):
+        body, mark, y = word.partition(MARK)
+        self._bad = len(body.translate(_NOT_BODY))
+        rbody = body[::-1]  # its blocks, each reversed, last first
+        if mark:
+            self._blocks = set(rbody.split("$"))
+            self._open = None
+            self._image = y.translate(_QUERY_IMAGE)
+            self._bad += len(y.translate(_NOT_QUERY))
+        else:
+            self._open, sep, rest = rbody.partition("$")
+            self._blocks = set(rest.split("$")) if sep else set()
+            self._image = ""
+        self._undo: list = []
+
+    def push(self, sym: str) -> None:
+        ropen, image, bad = self._open, self._image, self._bad
+        added = None
+        if ropen is None:  # reading the query
+            piece = BLOCK_IMAGE.get(sym)
+            if piece is None:
+                self._bad = bad + 1
+            else:
+                self._image = image + piece
+        elif sym == "$" or sym == MARK:
+            if ropen not in self._blocks:
+                self._blocks.add(ropen)
+                added = ropen
+            self._open = "" if sym == "$" else None
+        elif sym == "a" or sym == "b":
+            self._open = sym + ropen
+        else:
+            self._bad = bad + 1
+        self._undo.append((ropen, image, bad, added))
+
+    def pop(self) -> None:
+        self._open, self._image, self._bad, added = self._undo.pop()
+        if added is not None:
+            self._blocks.remove(added)
+
+    def member(self) -> bool:
+        return not self._bad and self._open is None and self._image in self._blocks
 
 
 def oracle_lh_tilde() -> LanguageOracle:

@@ -188,22 +188,24 @@ class Configuration:
         if not self._real_time:
             mark = len(self._undo)
             sym = END
-            while True:
-                moved = self.push(sym)
-                if moved is None:  # halted, or aborted with a violation
-                    accepted = (
-                        sym is None and self.violation is None
-                        and self.state in self._accepting
-                    )
-                    self.pop()  # revive: a halt or an abort made no step
-                    break
-                if len(self._undo) - 1 >= self._budget:  # begun with the budget spent
-                    accepted = False
-                    break
-                if moved[0] == END:
-                    sym = None
-            while len(self._undo) > mark:
-                self.pop()
+            try:
+                while True:
+                    moved = self.push(sym)  # may raise DeterminismError
+                    if moved is None:  # halted, or aborted with a violation
+                        accepted = (
+                            sym is None and self.violation is None
+                            and self.state in self._accepting
+                        )
+                        self.pop()  # revive: a halt or an abort made no step
+                        break
+                    if len(self._undo) - 1 >= self._budget:  # begun with the budget spent
+                        accepted = False
+                        break
+                    if moved[0] == END:
+                        sym = None
+            finally:
+                while len(self._undo) > mark:
+                    self.pop()
             return accepted
         node = self.node
         entry = self._rows[END][node.label][node._shape]

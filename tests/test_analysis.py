@@ -1,10 +1,12 @@
 """Exact sequences, equivalence classes, shape predicates, cross-checks."""
 import dataclasses
+import functools
 import itertools
 import math
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from twsda.analysis import (
     BudgetExceeded,
@@ -26,7 +28,14 @@ from test_tree import complete_tree
 from twsda.builders import BUILTINS, build_expo, build_fib, build_trie_p
 from twsda.combinators import complement, left_quotient
 from twsda.machine import END, LAMBDA, TransitionRow, machine_from_rows
-from twsda.oracles import ORACLES, LanguageOracle, lh_class_sample, oracle_expo, oracle_fib
+from twsda.oracles import (
+    ORACLES,
+    LanguageOracle,
+    lh_class_sample,
+    oracle_expo,
+    oracle_fib,
+    oracle_lh,
+)
 from twsda.simulate import BudgetRequired, Configuration, Verdict, run
 from twsda.tree import GammaTree, ROOT_LABEL, STAY, push
 
@@ -134,6 +143,87 @@ def test_count_classes_expo_sample():
 def test_count_classes_subset_sample_is_exponential():
     part = count_classes(ORACLES["lh"](), lh_class_sample(1), 1, ("0", "1", "2", "3"))
     assert part.count == 16
+
+
+def reference_partition(oracle, sample, ell, extension_alphabet):
+    """Classes of `sample` from one `membership` call per word and
+    extension string, the extensions listed up front."""
+    extensions = [
+        "".join(parts)
+        for length in range(ell + 1)
+        for parts in itertools.product(extension_alphabet, repeat=length)
+    ]
+    groups: dict = {}
+    for word in sample:
+        sig = tuple(oracle.membership(word + u) for u in extensions)
+        groups.setdefault(sig, []).append(word)
+    return sorted(sorted(ws, key=lambda w: (len(w), w)) for ws in groups.values())
+
+
+def assert_walks_agree(sample, ell, extension_alphabet):
+    """`lh`'s stepper, the `membership` adapter and the reference give the
+    same partition."""
+    lh = oracle_lh()
+    walked = count_classes(lh, sample, ell, extension_alphabet)
+    adapted = count_classes(dataclasses.replace(lh, stepper=None), sample, ell, extension_alphabet)
+    assert walked == adapted
+    assert sorted(map(list, walked.classes)) == reference_partition(
+        lh, sample, ell, extension_alphabet
+    )
+    return walked
+
+
+BLOCKS = ("0", "1", "2", "3")
+
+
+@functools.lru_cache(maxsize=1)
+def lh_sample_2():
+    return lh_class_sample(2)
+
+
+def test_stepper_walk_gives_the_adapter_partition_on_the_l1_sample():
+    part = assert_walks_agree(lh_class_sample(1), 1, BLOCKS)
+    assert part.count == 16
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stepper_walk_gives_the_adapter_partition_on_l2_subsets(seed):
+    sample = random.Random(seed).sample(lh_sample_2(), 40)
+    part = assert_walks_agree(sample, 2, BLOCKS)
+    assert part.count == 40
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.text(alphabet=oracle_lh().alphabet, max_size=10), max_size=12),
+    st.sampled_from([0, 1, 2]),
+)
+def test_stepper_walk_gives_the_adapter_partition_on_random_words(sample, ell):
+    # the CLI's default extensions: the oracle's whole alphabet
+    assert_walks_agree(sample, ell, oracle_lh().alphabet)
+
+
+def test_stepper_walk_pushes_every_symbol_of_an_entry():
+    sample = [*lh_class_sample(1), "ab⊳", "ba⊳", "aab$a⊳", "⊳0"]
+    for ell in (0, 1, 2, 3):
+        assert_walks_agree(sample, ell, ("01", "2", "2"))
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2])
+def test_membership_adapter_calls_once_per_word_and_extension(ell):
+    lh = oracle_lh()
+    calls = 0
+
+    def membership(word):
+        nonlocal calls
+        calls += 1
+        return lh.membership(word)
+
+    entries = ("01", "2", "2", "3")
+    sample = lh_class_sample(1)
+    count_classes(dataclasses.replace(lh, membership=membership, stepper=None),
+                  sample, ell, entries)
+    assert calls == len(sample) * sum(len(entries) ** k for k in range(ell + 1))
 
 
 def test_count_classes_below_machine_bound():

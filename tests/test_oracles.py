@@ -3,6 +3,7 @@ import itertools
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twsda.analysis import fibonacci
 from twsda.oracles import (
@@ -112,6 +113,60 @@ def test_mi_hat_membership(word, member):
 )
 def test_lh_membership(word, member):
     assert oracle_lh().membership(word) is member
+
+
+# `lh`'s alphabet plus one symbol outside it
+LH_SYMBOLS = (*oracle_lh().alphabet, "x")
+
+
+def test_lh_stepper_built_from_a_word_agrees_with_membership():
+    lh = oracle_lh()
+    words = list(words_over(LH_SYMBOLS, 5))
+    assert len(words) == 66_430
+    for word in words:
+        assert lh.stepper(word).member() is lh.membership(word), word
+
+
+def test_lh_stepper_pushed_from_empty_agrees_with_membership():
+    lh = oracle_lh()
+    stepper = lh.stepper("")
+    visited = 0
+
+    def walk(word, depth):
+        nonlocal visited
+        visited += 1
+        assert stepper.member() is lh.membership(word), word
+        if depth:
+            for sym in LH_SYMBOLS:
+                stepper.push(sym)
+                walk(word + sym, depth - 1)
+                stepper.pop()
+
+    walk("", 5)
+    assert visited == 66_430
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(alphabet=LH_SYMBOLS, max_size=12),
+    st.lists(st.one_of(st.sampled_from(LH_SYMBOLS), st.none()), max_size=30),
+)
+def test_lh_stepper_follows_random_pushes_and_pops(start, ops):
+    """None pops, when something is pushed; every other op pushes."""
+    lh = oracle_lh()
+    stepper = lh.stepper(start)
+    pushed = ""
+    assert stepper.member() is lh.membership(start)
+    for op in ops:
+        if op is None:
+            if not pushed:
+                continue
+            stepper.pop()
+            pushed = pushed[:-1]
+        else:
+            stepper.push(op)
+            pushed += op
+        assert stepper.member() is lh.membership(start + pushed), (start, pushed)
 
 
 def test_lh_tilde_and_lp_tilde():
