@@ -158,7 +158,7 @@ def test_accepts_now_leaves_no_violation_behind():
 
 
 def test_accepts_now_takes_its_steps_back_when_a_clash_raises():
-    # after END's step, q1 has both an END rule and a λ rule
+    # a λ step leads to q1, which has both an END rule and a λ rule
     rows = [
         row("q0", LAMBDA, "q1", anc="*"),
         row("q1", END, "yes", anc="*"),
