@@ -1,7 +1,6 @@
 """Deterministic tree-walking-storage machines: simulation and analysis."""
 
 from .analysis import (
-    BudgetExceeded,
     ClassPartition,
     Mismatch,
     catalan,
@@ -55,6 +54,7 @@ from .machinefile import (
 )
 from .oracles import ORACLES, LanguageOracle, lh_class_sample
 from .simulate import (
+    BudgetExceeded,
     BudgetRequired,
     Configuration,
     DeterminismError,

@@ -5,16 +5,16 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .machine import (
-    ANCESTRIES,
     END,
-    FLAGS,
     Machine,
     TransitionKey,
+    TransitionRow,
     _legal,
+    expand_rows,
     validate,
 )
 from .simulate import Verdict, _run
-from .tree import ROOT_LABEL, STAY
+from .tree import STAY
 
 
 class NotRealTime(ValueError):
@@ -62,15 +62,6 @@ def dfa_run(dfa: Dfa, word: Sequence[str]) -> bool:
 # -- complement ----------------------------------------------------------------
 
 
-def _consistent_shapes(tree_alphabet):
-    for anc in ANCESTRIES:
-        labels = (ROOT_LABEL,) if anc == "-" else tuple(tree_alphabet)
-        for label in labels:
-            for hl in FLAGS:
-                for hr in FLAGS:
-                    yield anc, hl, hr, label
-
-
 def complement(machine: Machine) -> Machine:
     """Machine accepting exactly the words `machine` does not accept.
 
@@ -84,12 +75,15 @@ def complement(machine: Machine) -> Machine:
     sink = "sink"
     while sink in machine.states:
         sink += "+"
-    transitions = {key: rhs for key, rhs in machine.transitions.items() if _legal(key, rhs[1])}
-    for state in machine.states + (sink,):
-        for sym in machine.input_alphabet + (END,):
-            for anc, hl, hr, label in _consistent_shapes(machine.tree_alphabet):
-                key = TransitionKey(state, sym, anc, hl, hr, label)
-                transitions.setdefault(key, (sink, STAY))
+    to_sink = [
+        TransitionRow(state, sym, "*", "*", "*", "*", sink, STAY)
+        for state in machine.states + (sink,)
+        for sym in machine.input_alphabet + (END,)
+    ]
+    transitions = expand_rows(to_sink, machine.tree_alphabet)
+    transitions.update(
+        (key, rhs) for key, rhs in machine.transitions.items() if _legal(key, rhs[1])
+    )
     result = replace(
         machine,
         name=f"non-{machine.name}",

@@ -8,7 +8,9 @@ nothing.  A word is accepted exactly when the machine halts in an
 accepting state with the word and the endmarker consumed entirely.  The
 machine's step program (`Machine._program`) settles that lookup order,
 and the legality of each action, once per transition key, so a step here
-is one indexed lookup.
+is one indexed lookup.  This is the one module that reads the program:
+`Configuration` steps and takes steps back, `_run` runs a word, and
+`_prefix_dfs` walks every word up to a length from a configuration.
 """
 from __future__ import annotations
 
@@ -43,6 +45,10 @@ class BudgetRequired(ValueError):
 
 class DeterminismError(RuntimeError):
     """A configuration matched both a symbol rule and a λ rule."""
+
+
+class BudgetExceeded(RuntimeError):
+    """An enumeration visited more words than the caller allowed."""
 
 
 class Verdict(Enum):
@@ -90,9 +96,10 @@ class Configuration:
     endmarker came next, within `budget` steps in all (by default unbounded
     if real-time, else missing).  The pointer's path is `node.path()`.
 
-    `run` and the prefix walks of `twsda.analysis` step on the same program
-    inline, with state, node and tree in local variables; they come here
-    only to raise a clash, and `run` to build an abort's violation.
+    `_run` and `_prefix_dfs` step on the same program inline, with state,
+    node and tree in local variables; they come here only to raise a
+    clash, and `_run` to build an abort's violation.  On a machine with λ
+    moves, `accepts_now` is `_prefix_dfs` of the empty word from here.
     """
 
     __slots__ = (
@@ -178,41 +185,29 @@ class Configuration:
     def accepts_now(self) -> bool:
         """Would the endmarker arriving here leave the machine accepting?
 
-        One lookup on a real-time machine, which halts right after it; any
-        other steps on it and λ moves to the halt and back, within a budget.
+        One lookup on a real-time machine, which halts right after it; on
+        any other, the prefix walk of the empty word from here, whose END
+        and λ steps run to the halt within the budget and are taken back.
         """
         if self._budget is None:
             raise BudgetRequired("machine is not real-time: pass an explicit step budget")
         if self.dead:
             return False
-        if not self._real_time:
-            mark = len(self._undo)
-            sym = END
-            try:
-                while True:
-                    moved = self.push(sym)  # may raise DeterminismError
-                    if moved is None:  # halted, or aborted with a violation
-                        accepted = (
-                            sym is None and self.violation is None
-                            and self.state in self._accepting
-                        )
-                        self.pop()  # revive: a halt or an abort made no step
-                        break
-                    if len(self._undo) - 1 >= self._budget:  # begun with the budget spent
-                        accepted = False
-                        break
-                    if moved[0] == END:
-                        sym = None
-            finally:
-                while len(self._undo) > mark:
-                    self.pop()
-            return accepted
-        node = self.node
-        entry = self._rows[END][node.label][node._shape]
-        return (
-            entry is not None and entry.target in self._accepting
-            and len(self._undo) < self._budget
-        )
+        if self._real_time:  # the walk's own real-time verdict
+            node = self.node
+            entry = self._rows[END][node.label][node._shape]
+            return (
+                entry is not None and entry.target in self._accepting
+                and len(self._undo) < self._budget
+            )
+        mark = len(self._undo)
+        verdicts: list[bool] = []
+        try:
+            _prefix_dfs(self, (), 0, None, lambda word, accepted, dead: verdicts.append(accepted))
+        finally:  # a clash raises with the walk's steps still recorded
+            while len(self._undo) > mark:
+                self.pop()
+        return verdicts[0]
 
 
 def _step_budget(machine: Machine, budget, default):
@@ -333,3 +328,173 @@ def final_tree(machine: Machine, word: Sequence[str], budget=None) -> GammaTree:
     changes nothing.
     """
     return _run(machine, word, budget, None)[1].tree
+
+
+# Opcode of the undo record that opens the steps of one symbol, or of one
+# verdict, on a machine with λ moves; taking those steps back ends with it.
+_MARK = -1
+
+
+def _prefix_dfs(config: Configuration, symbols, max_len, budget, visit):
+    """Depth-first walk of `config` over all words up to `max_len`, with
+    backtracking.
+
+    `config` is any configuration with a budget, and the words walked are
+    what is pushed after it; `symbols` are input symbols of its machine.
+    `visit(word, accepted, dead)` runs once per word, in
+    length-then-lexicographic order along each branch, and returns whether
+    the subtree below the word should be explored.  `accepted` is the
+    verdict of the configuration's input so far followed by the word;
+    `dead` is true when the machine halted, aborted or ran out of its run
+    budget before or inside the word, so that it rejects every extension.
+    `budget` caps the number of words visited (None for no cap); the first
+    word past it raises BudgetExceeded.  The walk leaves `config` as it
+    found it, except when a clash raises DeterminismError: `config` then
+    stands where the clash was met, with the walk's steps to it still on
+    its undo list.
+
+    The walk steps on the machine's step program inline, as `_run` does,
+    and keeps one undo record `(state, rows, node, op)` per step on
+    `config._undo`, which it takes back by opcode.  A real-time machine
+    makes one step per symbol, and a word's verdict is one END lookup and
+    a step count below the run budget.  A machine with λ moves also makes
+    the λ steps before each symbol, and a step begun with the run budget
+    spent leaves the word dead.  For its verdict the same loop runs the
+    END and λ steps to the halt, and takes them back once `visit` has
+    returned.  On such a machine each symbol's steps, and each verdict's,
+    open with a `_MARK` record.
+
+    The current word is one `str` whose first `depth` characters are the
+    prefix.  Taking a symbol back only lowers `depth`, so the symbol taken
+    back is still `word[depth]`, and the next one to try is its successor
+    in `symbols`.  The next symbol is appended in place when nothing was
+    taken back since; otherwise the prefix is cut once, as `stem`, and
+    every later sibling is `stem + sym`.  So a visit costs O(1) amortized
+    on a deep path (a unary walk never copies the word), and one
+    concatenation no longer than the word on a bushy tree.
+    """
+    symbols = list(symbols)
+    if any(len(s) != 1 for s in symbols) or len(set(symbols)) != len(symbols):
+        raise ValueError("prefix enumeration expects distinct single-character symbols")
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    budget = math.inf if budget is None else budget
+    first = symbols[0] if symbols else None
+    successor = dict(zip(symbols, symbols[1:] + [None]))
+    tree, node, state, rows = config.tree, config.node, config.state, config._rows
+    accepting, real_time, run_budget = config._accepting, config._real_time, config._budget
+    undo = config._undo
+    steps = len(undo)  # with λ moves: the step records in `undo`
+    dead = config.dead  # symbols fed since the machine stopped, the stopping one included
+    visited = depth = 0
+    word = ""
+    stem = None  # word[:depth] once cut; reset on moving to another node
+    sym = None  # what the next steps read: a symbol, END, or nothing at the root
+    verdict = False  # whether those steps are a verdict's
+    while True:
+        if sym is not None:
+            if dead:
+                dead += 1
+            else:
+                if not real_time:
+                    undo.append((state, rows, node, _MARK))
+                while True:
+                    entry = rows[sym][node.label][node._shape]
+                    if entry is None:
+                        dead = 1
+                        break
+                    target, op, label, consumed, action, next_rows = entry
+                    if op >= _ABORT:
+                        if op == _CLASH:
+                            config.state, config.node, config._rows = state, node, rows
+                            config.push(sym)  # raises DeterminismError
+                        dead = 1
+                        break
+                    undo.append((state, rows, node, op))
+                    if op == _OP_STAY:
+                        pass
+                    elif op == _OP_UP:
+                        node = node.parent
+                    elif op == _OP_DOWN_L:
+                        node = node.left
+                    elif op == _OP_DOWN_R:
+                        node = node.right
+                    elif op == _OP_PUSH:
+                        node = tree._add_child(node, label, action[2])
+                    else:  # _OP_POP
+                        node = tree._remove_leaf(node)
+                    state, rows = target, next_rows
+                    if real_time:
+                        break
+                    steps += 1
+                    if steps - 1 >= run_budget:  # begun with the budget spent, as in `_run`
+                        dead = 1
+                        break
+                    if consumed == END:
+                        sym = None
+                    elif consumed != LAMBDA:
+                        break
+        if verdict:  # the END and λ steps halted, aborted or ran out of budget
+            accepted = entry is None and sym is None and state in accepting
+            dead = 0
+        else:
+            visited += 1
+            if visited > budget:
+                raise BudgetExceeded(f"visited more than {budget} prefixes")
+            if dead:
+                accepted = False
+            elif real_time:
+                entry = rows[END][node.label][node._shape]
+                accepted = (
+                    entry is not None and entry.target in accepting and len(undo) < run_budget
+                )
+            else:
+                verdict = True
+                sym = END
+                continue
+        if visit(word, accepted, dead) and depth < max_len:
+            sym = first
+            stem = None
+        else:
+            sym = None
+        # Take back the verdict's steps, then every symbol whose subtree is
+        # done, until there is a next symbol.
+        take_back = verdict
+        verdict = False
+        while True:
+            if take_back:
+                while True:
+                    state, rows, prev, op = undo.pop()
+                    if op == _OP_PUSH:
+                        tree._remove_leaf(node)
+                    elif op == _OP_POP:
+                        tree._attach(prev)
+                    node = prev
+                    if real_time or op == _MARK:
+                        break
+                    steps -= 1
+            if sym is not None:
+                break
+            if not depth:
+                return
+            depth -= 1
+            if dead:
+                dead -= 1
+                # of the symbols fed to a stopped machine, only the one that
+                # stopped a machine with λ moves left steps behind
+                take_back = not (dead or real_time)
+            else:
+                take_back = True
+            sym = successor[word[depth]]
+            if sym is None:
+                stem = None
+        # `word += sym` is an in-place append in CPython only as a statement
+        # of its own that stores straight back to `word`
+        if stem is not None:
+            word = stem + sym
+        elif len(word) == depth:
+            word += sym
+        else:
+            stem = word[:depth]
+            word = stem + sym
+        depth += 1

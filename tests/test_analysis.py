@@ -9,8 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twsda.analysis import (
-    BudgetExceeded,
-    _prefix_dfs,
     catalan,
     class_upper_bound,
     count_classes,
@@ -36,7 +34,14 @@ from twsda.oracles import (
     oracle_fib,
     oracle_lh,
 )
-from twsda.simulate import BudgetRequired, Configuration, Verdict, run
+from twsda.simulate import (
+    BudgetExceeded,
+    BudgetRequired,
+    Configuration,
+    Verdict,
+    _prefix_dfs,
+    run,
+)
 from twsda.tree import GammaTree, ROOT_LABEL, STAY, push
 
 

@@ -1,4 +1,5 @@
 """Step and run semantics: lookup order, acceptance, budgets, traces."""
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -6,10 +7,11 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from test_machinefile import _actions, _states
 from test_reference_semantics import _busy_rows, _lambda_rows
 from twsda.analysis import cross_check, enumerate_accepted
 from twsda.builders import build_expo, build_mi_hat, build_trie_p
-from twsda.combinators import left_quotient
+from twsda.combinators import complement, left_quotient
 from twsda.machine import END, LAMBDA, SpecificityConflict, TransitionRow, machine_from_rows
 from twsda.machinefile import parse_machine
 from twsda.oracles import LanguageOracle
@@ -19,6 +21,7 @@ from twsda.simulate import (
     DeterminismError,
     EndmarkerInInput,
     Verdict,
+    _prefix_dfs,
     final_tree,
     run,
 )
@@ -200,14 +203,29 @@ _POPPER = [
 ]
 
 
+@st.composite
+def _hop_rows(draw):
+    """`_busy_rows` where q0 trades its rows for a λ stay into `hop`, which
+    has a rule on every symbol, on the endmarker and on λ: every clash
+    there follows a λ step, `accepts_now`'s own in state q0."""
+    rows = [r for r in draw(_busy_rows()) if r.state != "q0"]
+    rows.append(row("q0", LAMBDA, "hop", anc="*"))
+    for sym in ("a", "b", "¢", "⊳", END, LAMBDA):
+        rows.append(row("hop", sym, draw(_states), draw(_actions), anc="*"))
+    return rows
+
+
+_ROWS = {"real-time": _busy_rows(), "λ": _lambda_rows(), "λ hop": _hop_rows()}
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(["pops", "real-time", "λ"]), st.data())
+@given(st.sampled_from(["pops", "real-time", "λ", "λ hop"]), st.data())
 def test_pop_takes_a_configuration_back_to_its_pushes(kind, data):
     """After any mix of pushes, pops and `accepts_now` calls, on real-time
-    and λ machines with pops and illegal actions, a configuration is the
-    one a fresh configuration reaches on the symbols still pushed."""
-    lam = kind == "λ"
-    rows = _POPPER if kind == "pops" else data.draw(_lambda_rows() if lam else _busy_rows())
+    and λ machines with pops, illegal actions and clashes, a configuration
+    is the one a fresh configuration reaches on the symbols still pushed."""
+    lam = kind.startswith("λ")
+    rows = _POPPER if kind == "pops" else data.draw(_ROWS[kind])
     try:
         machine = machine_from_rows(
             "rand", ("a", "b", "¢", "⊳"), ("x", "y"), "q0", ["final"], rows,
@@ -239,6 +257,90 @@ def test_pop_takes_a_configuration_back_to_its_pushes(kind, data):
             pushed.append(op)
         assert seen(config) == seen(fresh()), (pushed, op)
         config.tree.check_invariants()
+
+
+def hopped(machine, clash: bool):
+    """`machine` with a λ hop after every step: the same words in twice
+    the steps, by a machine with λ moves.  With `clash`, the hop after a
+    step on ⊳ also has a rule on the endmarker, so every word that ends
+    in ⊳ raises DeterminismError."""
+    rows = []
+    for key, (target, action) in machine.transitions.items():
+        hop = "!" if clash and key.symbol == "⊳" else "'"
+        rows.append(TransitionRow(*key, target + hop, action))
+    for state in machine.states:
+        rows.append(row(f"{state}'", LAMBDA, state, anc="*"))
+        if clash:
+            rows.append(row(f"{state}!", LAMBDA, state, anc="*"))
+            rows.append(row(f"{state}!", END, state, anc="*"))
+    return machine_from_rows(
+        f"{machine.name}'", machine.input_alphabet, machine.tree_alphabet, machine.start,
+        machine.accepting, rows, real_time=False, non_erasing=machine.non_erasing,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["real-time", "complement", "λ", "hopped", "hopped, clashing"]), st.data())
+def test_prefix_walk_starts_from_any_configuration(kind, data):
+    """From the configuration a prefix `p` leaves, on real-time and λ
+    machines, halted or aborted ones included, `accepts_now` and the walk
+    give `p` and every `p + e` the verdict of `run` (or raise where it
+    raises), and leave the configuration as they found it.  Complements
+    never stop and accept most words; the hopped ones make λ steps between
+    symbols."""
+    lam = kind == "λ"
+    rows = data.draw(_lambda_rows() if lam else _busy_rows())
+    try:
+        machine = machine_from_rows(
+            "rand", ("a", "b", "¢", "⊳"), ("x", "y"), "q0", ["final"], rows,
+            real_time=not lam, non_erasing=False,
+        )
+    except SpecificityConflict:
+        assume(False)
+    if kind not in ("real-time", "λ"):
+        machine = complement(machine)
+    if kind.startswith("hopped"):
+        machine, lam = hopped(machine, clash=kind.endswith("clashing")), True
+    budget = data.draw(st.sampled_from([2.5, 5, 13, 20] if lam else [None, 1, 2.5, 5]))
+    limit = math.inf if budget is None else budget
+    config = Configuration(machine, budget)
+    prefix = ""
+    for sym in data.draw(st.text("ab¢⊳", min_size=1, max_size=4)):
+        moved = config.push(sym)
+        while moved is not None and moved[0] == LAMBDA and len(config._undo) <= limit:
+            moved = config.push(sym)  # the λ steps before `sym`, then `sym`
+        prefix += sym
+        if len(config._undo) > limit:  # every extension runs out of budget
+            break
+    before = seen(config), len(config._undo)
+
+    def verdict(word):
+        return attempt(lambda: run(machine, prefix + word, budget=budget).accepted)
+
+    assert attempt(config.accepts_now) == verdict("")
+    assert (seen(config), len(config._undo)) == before
+    symbols = sorted(machine.input_alphabet)
+    depth = data.draw(st.integers(2, 3))
+    # with the symbols in code point order, sorting gives the walk's order
+    words = sorted("".join(t) for n in range(depth + 1) for t in itertools.product(symbols, repeat=n))
+    visited = []
+
+    def visit(word, accepted, dead):
+        assert dead or not config.dead  # a dead configuration's extensions are dead
+        visited.append((word, accepted))
+        return True
+
+    try:
+        _prefix_dfs(config, symbols, depth, None, visit)
+    except DeterminismError:
+        assert verdict(words[len(visited)]) is DeterminismError  # the word the walk stopped in
+    else:
+        assert len(visited) == len(words)
+        assert (seen(config), len(config._undo)) == before
+        config.tree.check_invariants()
+    assert [word for word, _ in visited] == words[: len(visited)]
+    for word, accepted in visited:
+        assert accepted == verdict(word), (prefix, word)
 
 
 def test_trace_records_are_consecutive_and_complete():
