@@ -12,8 +12,8 @@ from typing import Iterable, Sequence
 
 from .machine import Machine
 from .oracles import LanguageOracle
-# BudgetExceeded is imported for this module's readers too: the drivers
-# below raise it, from the walk.
+# `twsda.analysis.BudgetExceeded` stays importable: the drivers below
+# raise it, from the walk.
 from .simulate import BudgetExceeded, Configuration, _prefix_dfs, _step_budget
 from .tree import GammaTree, TreeNode
 

@@ -98,8 +98,7 @@ class Configuration:
 
     `_run` and `_prefix_dfs` step on the same program inline, with state,
     node and tree in local variables; they come here only to raise a
-    clash, and `_run` to build an abort's violation.  On a machine with λ
-    moves, `accepts_now` is `_prefix_dfs` of the empty word from here.
+    clash, and `_run` to build an abort's violation.
     """
 
     __slots__ = (
