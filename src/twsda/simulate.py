@@ -11,12 +11,18 @@ and the legality of each action, once per transition key, so a step here
 is one indexed lookup.  This is the one module that reads the program:
 `Configuration` steps and takes steps back, `_run` runs a word, and
 `_prefix_dfs` walks every word up to a length from a configuration.
+`_run` has two loops: a real-time machine makes one step per symbol and
+one for the endmarker, in a loop over those symbols with no position,
+λ or budget test per step; a machine with λ moves runs in the general
+loop, which has them.  Traced runs take the same loops, and their
+records keep the pointer's node rather than its path.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import length_hint
 from typing import NamedTuple, Sequence
 
 from .machine import (
@@ -32,7 +38,7 @@ from .machine import (
     _OP_UP,
     Machine,
 )
-from .tree import GammaTree, WellFormednessViolation
+from .tree import GammaTree, TreeNode, WellFormednessViolation
 
 
 class EndmarkerInInput(ValueError):
@@ -59,12 +65,25 @@ class Verdict(Enum):
 
 
 class StepRecord(NamedTuple):
+    """One step of a traced run.
+
+    `node_after` is the node the pointer stands on after the step, and
+    `pointer_after` its path.  A node's side and parent are fixed when it
+    is made, and a popped leaf keeps both, so the path stays what it was
+    at the step.  Records compare their nodes by identity, and `_asdict()`
+    has `node_after`, not `pointer_after`.
+    """
+
     step_index: int
     state_before: str
     consumed: str  # input symbol, END, or LAMBDA
     action: tuple
-    pointer_after: str
+    node_after: TreeNode
     node_count_after: int
+
+    @property
+    def pointer_after(self) -> str:
+        return self.node_after.path()
 
 
 @dataclass(frozen=True)
@@ -224,15 +243,22 @@ def _run(machine: Machine, word: Sequence[str], budget, trace: list | None, endm
     Returns the verdict, the configuration the run stopped in, the number
     of steps taken and the input position: the count of word symbols
     consumed, plus one once the endmarker is.  Appends one StepRecord per
-    step to `trace` when it is a list.  Without `endmarker` the run stops
-    as soon as the word is consumed, before the endmarker or any λ move
-    after the last symbol; the verdict is then REJECTED.
+    step to `trace` when it is a list, which must start empty.  Without
+    `endmarker` the run stops as soon as the word is consumed, before the
+    endmarker or any λ move after the last symbol; the verdict is then
+    REJECTED.
 
-    The loop steps on the machine's step program itself, with no undo
+    Both loops step on the machine's step program itself, with no undo
     record, since a run never backtracks: the program has decided λ and
     legality, so each step is one indexed lookup and a plain pointer move
     or tree edit.  Only an abort or a clash goes through
     `Configuration.push`, which builds its violation or raises.
+
+    A real-time machine makes one step per symbol, so its loop runs over
+    the word and then END, cut to the steps the budget allows; its program
+    has no λ or clash entries.  A machine with λ moves runs in the general
+    loop, which keeps the input position and tests the budget at every
+    step.
     """
     bad = set(word) - (set(machine.input_alphabet) - {END, LAMBDA})
     if bad:
@@ -243,10 +269,53 @@ def _run(machine: Machine, word: Sequence[str], budget, trace: list | None, endm
     budget = _step_budget(machine, budget, len(word) + 1)
     config = Configuration(machine)
     tree, node, state, rows = config.tree, config.node, config.state, config._rows
+    record = tuple.__new__  # StepRecord(...) goes through a slower Python-level __new__
+    verdict = Verdict.REJECTED
+    if machine.real_time:
+        feed = [*word, END] if endmarker else [*word]
+        allowed = math.ceil(budget) if budget < len(feed) else len(feed)
+        # A list iterator's length hint is the count of symbols it has not
+        # yet given, so the loop keeps no step count of its own.
+        symbols = iter(feed if allowed == len(feed) else feed[:allowed])
+        for sym in symbols:
+            entry = rows[sym][node.label][node._shape]
+            if entry is None:
+                steps = allowed - 1 - length_hint(symbols)
+                break
+            target, op, label, _, action, next_rows = entry
+            if op == _OP_STAY:
+                pass
+            elif op == _OP_UP:
+                node = node.parent
+            elif op == _OP_DOWN_L:
+                node = node.left
+            elif op == _OP_DOWN_R:
+                node = node.right
+            elif op == _OP_PUSH:
+                node = tree._add_child(node, label, action[2])
+            elif op == _OP_POP:
+                node = tree._remove_leaf(node)
+            else:  # _ABORT
+                config.state, config.node, config._rows = state, node, rows
+                config.push(sym)  # records the abort's violation
+                steps = allowed - 1 - length_hint(symbols)
+                return Verdict.WELL_FORMEDNESS_VIOLATION, config, steps, steps
+            if trace is not None:
+                trace.append(record(StepRecord, (len(trace), state, sym, action, node, tree.size)))
+            state, rows = target, next_rows
+        else:
+            steps = allowed
+            if allowed < len(feed):
+                # Halting still beats the budget: only a machine that would
+                # keep moving (or abort) counts as cut off.
+                if rows[feed[allowed]][node.label][node._shape] is not None:
+                    verdict = Verdict.BUDGET_EXHAUSTED
+            elif endmarker and state in machine.accepting:
+                verdict = Verdict.ACCEPTED
+        config.state, config.node, config._rows = state, node, rows
+        return verdict, config, steps, steps
     n = len(word)
-    pointer = machine.initial_pointer
     steps = pos = 0
-    verdict = None
     while True:
         if pos < n:
             sym = word[pos]
@@ -282,18 +351,13 @@ def _run(machine: Machine, word: Sequence[str], budget, trace: list | None, endm
             node = tree._remove_leaf(node)
         if consumed != LAMBDA:
             pos += 1
-        steps += 1
         if trace is not None:
-            if op == _OP_UP or op == _OP_POP:
-                pointer = pointer[:-1]
-            elif op != _OP_STAY:  # down or push: onto the child
-                pointer += node.side
-            trace.append(StepRecord(steps - 1, state, consumed, action, pointer, tree.size))
+            trace.append(record(StepRecord, (steps, state, consumed, action, node, tree.size)))
+        steps += 1
         state, rows = target, next_rows
     config.state, config.node, config._rows = state, node, rows
-    if verdict is None:
-        accepted = pos > n and state in machine.accepting
-        verdict = Verdict.ACCEPTED if accepted else Verdict.REJECTED
+    if verdict is Verdict.REJECTED and pos > n and state in machine.accepting:
+        verdict = Verdict.ACCEPTED
     return verdict, config, steps, pos
 
 
@@ -345,7 +409,8 @@ def _prefix_dfs(config: Configuration, symbols, max_len, budget, visit):
     the subtree below the word should be explored.  `accepted` is the
     verdict of the configuration's input so far followed by the word;
     `dead` is true when the machine halted, aborted or ran out of its run
-    budget before or inside the word, so that it rejects every extension.
+    budget before or inside the word, or is real-time and has no step left
+    for the endmarker, so that it rejects every extension.
     `budget` caps the number of words visited (None for no cap); the first
     word past it raises BudgetExceeded.  The walk leaves `config` as it
     found it, except when a clash raises DeterminismError: `config` then
@@ -356,12 +421,14 @@ def _prefix_dfs(config: Configuration, symbols, max_len, budget, visit):
     and keeps one undo record `(state, rows, node, op)` per step on
     `config._undo`, which it takes back by opcode.  A real-time machine
     makes one step per symbol, and a word's verdict is one END lookup and
-    a step count below the run budget.  A machine with λ moves also makes
-    the λ steps before each symbol, and a step begun with the run budget
-    spent leaves the word dead.  For its verdict the same loop runs the
-    END and λ steps to the halt, and takes them back once `visit` has
-    returned.  On such a machine each symbol's steps, and each verdict's,
-    open with a `_MARK` record.
+    a step count below the run budget; a word whose count has reached the
+    budget is dead, as no extension has a step left either, so no step
+    tests the budget.  A machine with λ moves also makes the λ steps
+    before each symbol, and a step begun with the run budget spent leaves
+    the word dead.  For its verdict the same loop runs the END and λ steps
+    to the halt, and takes them back once `visit` has returned.  On such a
+    machine each symbol's steps, and each verdict's, open with a `_MARK`
+    record.
 
     The current word is one `str` whose first `depth` characters are the
     prefix.  Taking a symbol back only lowers `depth`, so the symbol taken
@@ -390,6 +457,7 @@ def _prefix_dfs(config: Configuration, symbols, max_len, budget, visit):
     stem = None  # word[:depth] once cut; reset on moving to another node
     sym = None  # what the next steps read: a symbol, END, or nothing at the root
     verdict = False  # whether those steps are a verdict's
+    spent = False  # whether a live real-time word has no step left for END
     while True:
         if sym is not None:
             if dead:
@@ -443,15 +511,15 @@ def _prefix_dfs(config: Configuration, symbols, max_len, budget, visit):
             if dead:
                 accepted = False
             elif real_time:
+                # with no step left for END, none is left for a later symbol
+                spent = len(undo) >= run_budget
                 entry = rows[END][node.label][node._shape]
-                accepted = (
-                    entry is not None and entry.target in accepting and len(undo) < run_budget
-                )
+                accepted = entry is not None and entry.target in accepting and not spent
             else:
                 verdict = True
                 sym = END
                 continue
-        if visit(word, accepted, dead) and depth < max_len:
+        if visit(word, accepted, dead or spent) and depth < max_len:
             sym = first
             stem = None
         else:

@@ -581,6 +581,23 @@ def test_run_budget_bounds_real_time_walks():
             enumerate_accepted(expo, 3, run_budget=run_budget)
 
 
+def test_real_time_walks_stop_where_the_run_budget_is_spent():
+    """A real-time word of length n takes n+1 steps, so under run budget b
+    every word of length b or more rejects, and its extensions too: the
+    walk visits no word longer than b."""
+    trie_p = build_trie_p()
+    symbols = sorted(trie_p.input_alphabet)
+    for run_budget in (2, 5):
+        words = [
+            "".join(parts)
+            for length in range(run_budget + 1)
+            for parts in itertools.product(symbols, repeat=length)
+        ]
+        expected = [w for w in words if run(trie_p, w, budget=run_budget).accepted]
+        got = enumerate_accepted(trie_p, 8, budget=len(words), run_budget=run_budget)
+        assert got == expected
+
+
 def test_lambda_walks_skip_the_prefixes_the_machine_halted_inside():
     """A λ hop after every a and no rule that reads b: the machine halts on
     its first b, so the walk to length 10 visits λ, the ten words a^i and

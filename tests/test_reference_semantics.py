@@ -147,7 +147,10 @@ def agree(machine: Machine, word: str, budget=None):
     assert got.verdict.value == want.verdict, (word, got.verdict.value, want.verdict)
     assert got.steps_taken == want.steps, (word, got.steps_taken, want.steps)
     assert [rec.step_index for rec in got.trace] == list(range(want.steps)), word
-    assert [rec[1:] for rec in got.trace] == want.records, word
+    assert [
+        (r.state_before, r.consumed, r.action, r.pointer_after, r.node_count_after)
+        for r in got.trace
+    ] == want.records, word
     assert labels(final_tree(machine, word, budget=budget)) == want.tree, word
 
 

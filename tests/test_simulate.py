@@ -426,3 +426,23 @@ def test_untraced_run_keeps_memory_bounded():
         tracemalloc.stop()
     assert out.verdict is Verdict.BUDGET_EXHAUSTED and out.steps_taken == 100_000
     assert peak < 1_000_000
+
+
+def test_traced_run_memory_is_linear_in_pointer_depth():
+    """On `mi-hat`'s spine word ¢ (ab)^(n/2) $ (ba)^(n/2) ▶ the pointer
+    goes n deep and back, so records that each held the pointer's path
+    would take memory quadratic in n: doubling n would quadruple the peak."""
+    m = build_mi_hat()
+
+    def peak(n):
+        word = "¢" + "ab" * (n // 2) + "$" + "ba" * (n // 2) + "▶"
+        tracemalloc.start()
+        try:
+            out = run(m, word, traced=True)
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.accepted and len(out.trace) == len(word) + 1
+        return top
+
+    assert peak(4000) / peak(2000) < 3
