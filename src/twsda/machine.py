@@ -165,19 +165,8 @@ _OPCODES = {
 }
 
 
-class _Entry(NamedTuple):
-    """One step of a compiled machine."""
-
-    target: str | None  # None on an abort or a clash
-    op: int
-    operand: str | None  # the pushed label
-    consumed: str | None  # the symbol read, or LAMBDA
-    action: tuple | None
-    rows: dict | None  # the target's part of the program
-
-
 _EMPTY_ROW = (None,) * 12
-_CLASH_ENTRY = _Entry(None, _CLASH, None, None, None, None)
+_CLASH_ENTRY = (None, _CLASH, None, None, None, None)
 
 
 def _compile(machine: Machine) -> dict:
@@ -194,6 +183,13 @@ def _compile(machine: Machine) -> dict:
     symbol and label a run can meet, including states and labels outside
     the declared ones; a symbol outside it reads as None (λ moves only).
     Equal entries are one object, and so are all empty rows.
+
+    An entry is a plain tuple `(target, op, operand, consumed, action,
+    rows)`: the target state (None on an abort or a clash), the opcode, the
+    pushed label (else None), the symbol read or LAMBDA (None on a clash),
+    the action (None on a clash) and the target's part of the program
+    (None on an abort or a clash).  Every step unpacks one, and CPython
+    specializes that unpack for exact tuples only.
     """
     trans = machine.transitions
     states = dict.fromkeys((
@@ -223,7 +219,7 @@ def _compile(machine: Machine) -> dict:
             spec = (None, _ABORT, None, consumed, action)
         found = interned.get(spec)
         if found is None:
-            found = interned[spec] = _Entry(*spec, program.get(spec[0]))
+            found = interned[spec] = (*spec, program.get(spec[0]))
         return found
 
     rows = defaultdict(lambda: [None] * 12)  # (state, symbol, label) -> row

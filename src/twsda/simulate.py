@@ -215,7 +215,7 @@ class Configuration:
             node = self.node
             entry = self._rows[END][node.label][node._shape]
             return (
-                entry is not None and entry.target in self._accepting
+                entry is not None and entry[0] in self._accepting
                 and len(self._undo) < self._budget
             )
         mark = len(self._undo)
@@ -514,7 +514,7 @@ def _prefix_dfs(config: Configuration, symbols, max_len, budget, visit):
                 # with no step left for END, none is left for a later symbol
                 spent = len(undo) >= run_budget
                 entry = rows[END][node.label][node._shape]
-                accepted = entry is not None and entry.target in accepting and not spent
+                accepted = entry is not None and entry[0] in accepting and not spent
             else:
                 verdict = True
                 sym = END

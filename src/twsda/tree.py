@@ -10,8 +10,10 @@ which every transition key spells out, so a machine decides it, and
 whether a λ rule applies, once per key when it compiles its step program
 (`Machine._program`).  A step is one of the program's opcodes: a pointer
 move, a push (`_add_child`) or a pop (`_remove_leaf`), taken back by
-`_remove_leaf` or `_attach`; these edits do not check legality.  Action
-tuples are data: the rows of a machine, its file and its trace.
+`_remove_leaf` or `_attach`; these edits do not check legality.  A push
+builds its node and hangs it under the parent in the one call; `_attach`
+only puts a popped leaf back.  Action tuples are data: the rows of a
+machine, its file and its trace.
 """
 from __future__ import annotations
 
@@ -134,9 +136,19 @@ class GammaTree:
     def _add_child(self, node: TreeNode, label: str, side: str) -> TreeNode:
         """Push a child labeled `label` on `side` of `node` and return it.
 
-        Unchecked: that side must be free.
+        Unchecked: that side must be free.  The child is linked and the
+        parent's shape code and the size are updated here, not through
+        `_attach`, since every push of a run comes this way.
         """
-        return self._attach(TreeNode(label, side, node))
+        child = TreeNode(label, side, node)
+        if side == "l":
+            node.left = child
+            node._shape += 2
+        else:
+            node.right = child
+            node._shape += 1
+        self.size += 1
+        return child
 
     def _remove_leaf(self, node: TreeNode) -> TreeNode:
         """Pop `node` and return its parent.
@@ -169,14 +181,21 @@ class GammaTree:
     # -- serialization and checks -------------------------------------------
 
     def clone(self) -> "GammaTree":
+        """An independent copy, built node by node with shape codes copied."""
         other = GammaTree()
         stack = [(self.root, other.root)]
         while stack:
             src, dst = stack.pop()
-            if src.left is not None:
-                stack.append((src.left, other._add_child(dst, src.left.label, "l")))
-            if src.right is not None:
-                stack.append((src.right, other._add_child(dst, src.right.label, "r")))
+            dst._shape = src._shape
+            child = src.left
+            if child is not None:
+                dst.left = copy = TreeNode(child.label, "l", dst)
+                stack.append((child, copy))
+            child = src.right
+            if child is not None:
+                dst.right = copy = TreeNode(child.label, "r", dst)
+                stack.append((child, copy))
+        other.size = self.size
         return other
 
     def snapshot(self, render: Callable[[str], str] = str) -> str:

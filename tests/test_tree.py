@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from test_reference_semantics import labels, naive_run
+from twsda.builders import BUILTINS
+from twsda.combinators import left_quotient
 from twsda.machine import TransitionRow, machine_from_rows
 from twsda.simulate import Configuration
 from twsda.tree import (
@@ -162,6 +164,59 @@ def test_clone_is_independent():
     twin = tree.clone()
     config.push("yl")
     assert twin.size == 3 and tree.size == 4
+
+
+def assert_clone_matches(tree: GammaTree) -> None:
+    """`tree.clone()` has the same nodes, labels, shape codes and size, and
+    editing it leaves `tree` unchanged."""
+    twin = tree.clone()
+    twin.check_invariants()
+    assert twin.snapshot() == tree.snapshot() and twin.size == tree.size
+    pairs = [(tree.root, twin.root)]
+    for src, dst in pairs:
+        assert dst is not src and dst._shape == src._shape
+        pairs.extend((a, b) for a, b in ((src.left, dst.left), (src.right, dst.right)) if a)
+    before = tree.snapshot(), tree.size, [src._shape for src, _ in pairs]
+    twin._add_child(next(dst for _, dst in pairs if dst.left is None), "z", "l")
+    leaf = next((dst for _, dst in reversed(pairs) if dst._shape in (4, 8)), None)
+    if leaf is not None:  # a leaf of the copy other than its root
+        twin._remove_leaf(leaf)
+    twin.root.label = "z"
+    assert (tree.snapshot(), tree.size, [src._shape for src, _ in pairs]) == before
+    tree.check_invariants()
+
+
+@given(st.lists(st.sampled_from([*_STEPS, "pop"]), max_size=80))
+def test_clone_of_grown_and_shrunk_trees(moves):
+    config = steps()
+    made = 0
+    for move in moves:
+        if move == "pop":
+            if made:
+                config.pop()
+                made -= 1
+        elif config.push(move) is None:  # an abort: take it back
+            config.pop()
+        else:
+            made += 1
+    assert_clone_matches(config.tree)
+
+
+# Prefixes the six built-ins survive, leaving trees of 7 to 73 nodes.
+QUOTIENT_PREFIXES = {
+    "expo": "a" * 300,
+    "fib": "a" * 300,
+    "cub": "a" * 300,
+    "trie-p": "aab$$$bab$$$abba$$$$",
+    "trie-p-hat": "aab$$$bab$$$¢ab$ba$",
+    "mi-hat": "ab$a¢" + "ab" * 40 + "$" + "ba" * 20,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_clone_of_quotient_initial_trees(name):
+    machine = left_quotient(BUILTINS[name](), QUOTIENT_PREFIXES[name])
+    assert_clone_matches(machine.initial_tree)
 
 
 @given(st.lists(st.sampled_from(["u", "s", "dl", "dr", "pop", "pl", "pr"]), max_size=60))
