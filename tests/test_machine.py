@@ -228,7 +228,7 @@ def assert_program_follows_transitions(machine: Machine) -> None:
                     key = TransitionKey(state, LAMBDA, anc, hl, hr, label)
                     lam = None if machine.real_time else trans.get(key)
                     where = (state, sym, label, shape)
-                    # a plain tuple, since CPython specializes only their unpack
+                    # an exact tuple: CPython specializes the unpack of no other type
                     assert got is None or type(got) is tuple, where
                     if rule is not None and lam is not None:
                         assert got is not None and got[1] == _CLASH, where

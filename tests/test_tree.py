@@ -175,7 +175,9 @@ def assert_clone_matches(tree: GammaTree) -> None:
     pairs = [(tree.root, twin.root)]
     for src, dst in pairs:
         assert dst is not src and dst._shape == src._shape
-        pairs.extend((a, b) for a, b in ((src.left, dst.left), (src.right, dst.right)) if a)
+        for a, b in ((src.left, dst.left), (src.right, dst.right)):
+            if a is not None:
+                pairs.append((a, b))
     before = tree.snapshot(), tree.size, [src._shape for src, _ in pairs]
     twin._add_child(next(dst for _, dst in pairs if dst.left is None), "z", "l")
     leaf = next((dst for _, dst in reversed(pairs) if dst._shape in (4, 8)), None)
