@@ -15,7 +15,7 @@ from .oracles import LanguageOracle
 # `twsda.analysis.BudgetExceeded` stays importable: the drivers below
 # raise it, from the walk.
 from .simulate import BudgetExceeded, Configuration, _prefix_dfs, _step_budget
-from .tree import GammaTree, TreeNode
+from .tree import ROOT, GammaTree
 
 
 # -- exact sequences and bounds ------------------------------------------------
@@ -165,38 +165,59 @@ def count_classes(
 # -- tree shapes ---------------------------------------------------------------
 
 
-def _complete_shape(node: TreeNode | None, level: int) -> bool:
-    if node is None:
-        return level == 0
-    return (
-        level >= 1
-        and _complete_shape(node.left, level - 1)
-        and _complete_shape(node.right, level - 1)
-    )
-
-
 def is_complete_binary(tree: GammaTree, level: int) -> bool:
-    """Whether the tree is complete of the given level (level 0 is empty)."""
-    if level == 0:
+    """Whether the tree is complete of the given level (level 0 is empty).
+
+    A tree of the wrong node count, 2^level - 1, is refused at once; the
+    rest is one walk of the nodes with the level each subtree must have.
+    """
+    if level < 1 or tree.size != 2**level - 1:
         return False  # a stored tree always has its root
-    return _complete_shape(tree.root, level)
-
-
-def _fib_shape(node: TreeNode | None, level: int) -> bool:
-    if node is None:
-        return level == 0
-    if level == 1:
-        return node.left is None and node.right is None
-    if level < 1:
-        return False
-    return _fib_shape(node.left, level - 1) and _fib_shape(node.right, level - 2)
+    stack = [(ROOT, level)]
+    while stack:
+        node, level = stack.pop()
+        left, right = tree.children(node)
+        if level == 1:
+            if left is not None or right is not None:
+                return False
+        elif left is None or right is None:
+            return False
+        else:
+            stack += ((left, level - 1), (right, level - 1))
+    return True
 
 
 def is_fibonacci_tree(tree: GammaTree, level: int) -> bool:
-    """Whether the tree has the recursive Fibonacci shape of the given level."""
-    if level == 0:
+    """Whether the tree has the recursive Fibonacci shape of the given level.
+
+    That shape is a leaf at level 1 and, above it, a root over shapes of
+    the two levels below, left then right, with level 0 empty.  A tree of
+    the wrong node count is refused at once; the rest is one walk of the
+    nodes with the level each subtree must have.
+    """
+    if level < 1:
         return False
-    return _fib_shape(tree.root, level)
+    below, count = 0, 1  # node counts of the levels 0 and 1
+    for _ in range(level - 1):
+        below, count = count, count + below + 1
+        if count > tree.size:
+            return False
+    if count != tree.size:
+        return False
+    stack = [(ROOT, level)]
+    while stack:
+        node, level = stack.pop()
+        left, right = tree.children(node)
+        if level == 1:
+            if left is not None or right is not None:
+                return False
+            continue
+        if left is None or (right is None) != (level == 2):
+            return False
+        stack.append((left, level - 1))
+        if right is not None:
+            stack.append((right, level - 2))
+    return True
 
 
 # -- exhaustive machine checks -------------------------------------------------

@@ -169,7 +169,7 @@ def left_quotient(machine: Machine, prefix: Sequence[str], budget=None) -> Machi
         name=f"{machine.name}-after-{shown or 'λ'}",
         start=config.state,
         initial_tree=config.tree,
-        initial_pointer=config.node.path(),
+        initial_pointer=config.tree.path(config.node),
     )
     assert not validate(result)
     return result

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .tree import ROOT_LABEL, _SHAPE_BASE, GammaTree, format_action
+from .tree import ROOT, ROOT_LABEL, _SHAPE_BASE, GammaTree, format_action
 
 LAMBDA = "λ"
 END = "⋗"
@@ -157,7 +157,9 @@ def _legal(key: TransitionKey, action: tuple) -> bool:
 
 
 # Opcodes of step-program entries.  _ABORT and _CLASH come last, so that one
-# comparison (`op >= _ABORT`) finds a step that cannot be made.
+# comparison (`op >= _ABORT`) finds a step that cannot be made.  A stay is 0
+# and the three moves index `(None, parents, lefts, rights)`, so a stepper
+# makes any of them with `if op: node = links[op][node]`.
 _OP_STAY, _OP_UP, _OP_DOWN_L, _OP_DOWN_R, _OP_PUSH, _OP_POP, _ABORT, _CLASH = range(8)
 _OPCODES = {
     "stay": _OP_STAY, "up": _OP_UP, "down-l": _OP_DOWN_L, "down-r": _OP_DOWN_R,
@@ -203,10 +205,8 @@ def _compile(machine: Machine) -> dict:
         *(action[1] for _, action in trans.values() if action[0] == "push"),
     ))
     if machine.initial_tree is not None:
-        nodes = [machine.initial_tree.root]
-        for node in nodes:
-            labels[node.label] = None
-            nodes.extend(c for c in (node.left, node.right) if c is not None)
+        tree = machine.initial_tree
+        labels.update(dict.fromkeys(tree.labels[node] for node in tree.nodes()))
     no_rules = dict.fromkeys(labels, _EMPTY_ROW)
     program = {state: dict.fromkeys(symbols, no_rules) for state in states}
     interned: dict = {}  # equal entries -> one object
@@ -243,7 +243,7 @@ def _compile(machine: Machine) -> dict:
 
 
 def _shape(key: TransitionKey) -> int:
-    """The shape code of a node of the key's shape (`TreeNode._shape`)."""
+    """The shape code of a node of the key's shape (`GammaTree.shapes`)."""
     return _SHAPE_BASE[key.ancestry] + 2 * (key.has_left == "+") + (key.has_right == "+")
 
 
@@ -376,15 +376,13 @@ def validate(machine: Machine) -> list[Violation]:
             out.append(Violation(BAD_INITIAL_CONFIG, f"initial tree is inconsistent: {exc}"))
         else:
             # breadth first, so shortest paths come first and 'l' before 'r'
-            nodes = [tree.root]
-            for node in nodes:
-                nodes.extend(c for c in (node.left, node.right) if c is not None)
-                if node.parent is not None and node.label not in machine.tree_alphabet:
+            for node in tree.nodes():
+                if node != ROOT and tree.labels[node] not in machine.tree_alphabet:
                     out.append(
                         Violation(
                             BAD_INITIAL_CONFIG,
-                            f"initial tree node '{node.path()}' labeled {node.label!r} "
-                            "outside the tree alphabet",
+                            f"initial tree node '{tree.path(node)}' labeled "
+                            f"{tree.labels[node]!r} outside the tree alphabet",
                         )
                     )
         if not tree.has(machine.initial_pointer):

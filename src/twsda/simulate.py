@@ -16,6 +16,15 @@ one for the endmarker, in a loop over those symbols with no position,
 λ or budget test per step; a machine with λ moves runs in the general
 loop, which has them.  Traced runs take the same loops, and their
 records keep the pointer's node rather than its path.
+
+Nodes are ids into the storage tree's lists (`tree.GammaTree`), and the
+loops hold those lists in local variables.  A pointer move is one table
+read, `node = links[op][node]` with `links = (None, parents, lefts,
+rights)`, skipped by `if op:` for a stay.  `_run`'s real-time loop and
+the walk edit the lists inline; the rest edit through the tree's methods.
+A run frees the id of every leaf it pops (a traced run none), and
+`Configuration` and the walk free none, so that taking their pushes back
+drops the newest ids and leaves the lists as they were.
 """
 from __future__ import annotations
 
@@ -30,15 +39,11 @@ from .machine import (
     LAMBDA,
     _ABORT,
     _CLASH,
-    _OP_DOWN_L,
-    _OP_DOWN_R,
     _OP_POP,
     _OP_PUSH,
-    _OP_STAY,
-    _OP_UP,
     Machine,
 )
-from .tree import GammaTree, TreeNode, WellFormednessViolation
+from .tree import ROOT, GammaTree, WellFormednessViolation
 
 
 class EndmarkerInInput(ValueError):
@@ -67,23 +72,25 @@ class Verdict(Enum):
 class StepRecord(NamedTuple):
     """One step of a traced run.
 
-    `node_after` is the node the pointer stands on after the step, and
-    `pointer_after` its path.  A node's side and parent are fixed when it
-    is made, and a popped leaf keeps both, so the path stays what it was
-    at the step.  Records compare their nodes by identity, and `_asdict()`
-    has `node_after`, not `pointer_after`.
+    `node_after` is the id of the node the pointer stands on after the
+    step, in `tree`, the run's own storage, and `pointer_after` its path,
+    `tree.path(node_after)`.  A traced run frees no id, and a popped leaf
+    keeps its parent and side, so the path stays what it was at the step.
+    Records compare their trees by identity, and `_asdict()` has
+    `node_after` and `tree`, not `pointer_after`.
     """
 
     step_index: int
     state_before: str
     consumed: str  # input symbol, END, or LAMBDA
     action: tuple
-    node_after: TreeNode
+    node_after: int
     node_count_after: int
+    tree: GammaTree
 
     @property
     def pointer_after(self) -> str:
-        return self.node_after.path()
+        return self.tree.path(self.node_after)
 
 
 @dataclass(frozen=True)
@@ -100,7 +107,7 @@ class RunOutcome:
 
 
 class Configuration:
-    """A machine's state, storage tree and pointer node, and the one
+    """A machine's state, storage tree and pointer node id, and the one
     stepper every caller uses; the input is what the caller pushes.
 
     `push(sym)` makes one step reading `sym`: one indexed lookup in the
@@ -113,7 +120,9 @@ class Configuration:
     WellFormednessViolation while the configuration is dead from it, and
     is None whenever `dead` is 0.  `accepts_now()` gives the verdict if the
     endmarker came next, within `budget` steps in all (by default unbounded
-    if real-time, else missing).  The pointer's path is `node.path()`.
+    if real-time, else missing).  The pointer's path is
+    `tree.path(node)`.  Its pushes append ids and its pops free none, so
+    `pop()` leaves the tree's lists as they were before the `push`.
 
     `_run` and `_prefix_dfs` step on the same program inline, with state,
     node and tree in local variables; they come here only to raise a
@@ -132,7 +141,7 @@ class Configuration:
             self.node = self.tree.node_at(machine.initial_pointer)
         else:
             self.tree = GammaTree()
-            self.node = self.tree.root
+            self.node = ROOT
         self.dead = 0
         self.violation: WellFormednessViolation | None = None
         self._rows = machine._program[machine.start]  # the state's part of the program
@@ -155,12 +164,12 @@ class Configuration:
         if self.dead:
             self.dead += 1
             return None
-        node = self.node
+        node, tree = self.node, self.tree
         try:
             by_label = self._rows[sym]
         except KeyError:  # outside the input alphabet: λ rules alone apply
             by_label = self._rows[None]
-        entry = by_label[node.label][node._shape]
+        entry = by_label[tree.labels[node]][tree.shapes[node]]
         if entry is None:
             self.dead = 1
             return None
@@ -168,20 +177,17 @@ class Configuration:
         if op >= _ABORT:
             if op == _CLASH:
                 raise DeterminismError(f"state {self.state!r} matches both symbol {sym!r} and λ")
-            self.violation = WellFormednessViolation(action, node.node_type(), node.path())
+            self.violation = WellFormednessViolation(action, tree.node_type(node), tree.path(node))
             self.dead = 1
             return None
         self._undo.append((self.state, self._rows, node, op))
-        if op == _OP_UP:  # a stay leaves the pointer where it is
-            self.node = node.parent
-        elif op == _OP_DOWN_L:
-            self.node = node.left
-        elif op == _OP_DOWN_R:
-            self.node = node.right
+        if op < _OP_PUSH:
+            if op:  # a stay leaves the pointer where it is
+                self.node = (None, tree.parents, tree.lefts, tree.rights)[op][node]
         elif op == _OP_PUSH:
-            self.node = self.tree._add_child(node, label, action[2])
-        elif op == _OP_POP:
-            self.node = self.tree._remove_leaf(node)
+            self.node = tree._add_child(node, label, action[2])
+        else:  # _OP_POP
+            self.node = tree._remove_leaf(node)
         self.state = target
         self._rows = rows
         return consumed, action
@@ -195,7 +201,7 @@ class Configuration:
             return
         self.state, self._rows, prev, op = self._undo.pop()
         if op == _OP_PUSH:
-            self.tree._remove_leaf(self.node)
+            self.tree._remove_newest(self.node)
         elif op == _OP_POP:
             self.tree._attach(prev)
         self.node = prev
@@ -212,8 +218,8 @@ class Configuration:
         if self.dead:
             return False
         if self._real_time:  # the walk's own real-time verdict
-            node = self.node
-            entry = self._rows[END][node.label][node._shape]
+            node, tree = self.node, self.tree
+            entry = self._rows[END][tree.labels[node]][tree.shapes[node]]
             return (
                 entry is not None and entry[0] in self._accepting
                 and len(self._undo) < self._budget
@@ -252,7 +258,10 @@ def _run(machine: Machine, word: Sequence[str], budget, trace: list | None, endm
     record, since a run never backtracks: the program has decided λ and
     legality, so each step is one indexed lookup and a plain pointer move
     or tree edit.  Only an abort or a clash goes through
-    `Configuration.push`, which builds its violation or raises.
+    `Configuration.push`, which builds its violation or raises.  An
+    untraced run frees each popped leaf's id for the next push to take,
+    so its lists grow no longer than its largest tree; a traced run frees
+    none, so that each record's node stays the node it named.
 
     A real-time machine makes one step per symbol, so its loop runs over
     the word and then END, cut to the steps the budget allows; its program
@@ -269,6 +278,13 @@ def _run(machine: Machine, word: Sequence[str], budget, trace: list | None, endm
     budget = _step_budget(machine, budget, len(word) + 1)
     config = Configuration(machine)
     tree, node, state, rows = config.tree, config.node, config.state, config._rows
+    labels, parents, lefts, rights, shapes, free = (
+        tree.labels, tree.parents, tree.lefts, tree.rights, tree.shapes, tree.free
+    )
+    links = (None, parents, lefts, rights)  # by opcode: up, down-l, down-r
+    # A pop frees its leaf's id for the next push, but not in a traced run,
+    # whose records must go on naming the nodes they named.
+    freed = free if trace is None else []
     record = tuple.__new__  # StepRecord(...) goes through a slower Python-level __new__
     verdict = Verdict.REJECTED
     if machine.real_time:
@@ -277,41 +293,67 @@ def _run(machine: Machine, word: Sequence[str], budget, trace: list | None, endm
         # A list iterator's length hint is the count of symbols it has not
         # yet given, so the loop keeps no step count of its own.
         symbols = iter(feed if allowed == len(feed) else feed[:allowed])
+        size = tree.size
         for sym in symbols:
-            entry = rows[sym][node.label][node._shape]
+            entry = rows[sym][labels[node]][shapes[node]]
             if entry is None:
                 steps = allowed - 1 - length_hint(symbols)
                 break
             target, op, label, _, action, next_rows = entry
-            if op == _OP_STAY:
-                pass
-            elif op == _OP_UP:
-                node = node.parent
-            elif op == _OP_DOWN_L:
-                node = node.left
-            elif op == _OP_DOWN_R:
-                node = node.right
-            elif op == _OP_PUSH:
-                node = tree._add_child(node, label, action[2])
-            elif op == _OP_POP:
-                node = tree._remove_leaf(node)
+            if op < _OP_PUSH:
+                if op:  # a stay leaves the pointer where it is
+                    node = links[op][node]
+            elif op == _OP_PUSH:  # `GammaTree._add_child`, inline
+                if free:
+                    child = free.pop()
+                    labels[child] = label
+                    parents[child] = node
+                else:
+                    child = len(labels)
+                    labels.append(label)
+                    parents.append(node)
+                    lefts.append(None)
+                    rights.append(None)
+                    shapes.append(0)
+                if action[2] == "l":
+                    lefts[node] = child
+                    shapes[node] += 2
+                    shapes[child] = 4
+                else:
+                    rights[node] = child
+                    shapes[node] += 1
+                    shapes[child] = 8
+                size += 1
+                node = child
+            elif op == _OP_POP:  # `GammaTree._remove_leaf`, inline
+                child, node = node, parents[node]
+                if shapes[child] == 4:
+                    lefts[node] = None
+                    shapes[node] -= 2
+                else:
+                    rights[node] = None
+                    shapes[node] -= 1
+                size -= 1
+                freed.append(child)
             else:  # _ABORT
+                tree.size = size
                 config.state, config.node, config._rows = state, node, rows
                 config.push(sym)  # records the abort's violation
                 steps = allowed - 1 - length_hint(symbols)
                 return Verdict.WELL_FORMEDNESS_VIOLATION, config, steps, steps
             if trace is not None:
-                trace.append(record(StepRecord, (len(trace), state, sym, action, node, tree.size)))
+                trace.append(record(StepRecord, (len(trace), state, sym, action, node, size, tree)))
             state, rows = target, next_rows
         else:
             steps = allowed
             if allowed < len(feed):
                 # Halting still beats the budget: only a machine that would
                 # keep moving (or abort) counts as cut off.
-                if rows[feed[allowed]][node.label][node._shape] is not None:
+                if rows[feed[allowed]][labels[node]][shapes[node]] is not None:
                     verdict = Verdict.BUDGET_EXHAUSTED
             elif endmarker and state in machine.accepting:
                 verdict = Verdict.ACCEPTED
+        tree.size = size
         config.state, config.node, config._rows = state, node, rows
         return verdict, config, steps, steps
     n = len(word)
@@ -323,7 +365,7 @@ def _run(machine: Machine, word: Sequence[str], budget, trace: list | None, endm
             break
         else:
             sym = END if pos == n else None
-        entry = rows[sym][node.label][node._shape]
+        entry = rows[sym][labels[node]][shapes[node]]
         if entry is None:
             break
         target, op, label, consumed, action, next_rows = entry
@@ -337,22 +379,18 @@ def _run(machine: Machine, word: Sequence[str], budget, trace: list | None, endm
                 return Verdict.WELL_FORMEDNESS_VIOLATION, config, steps, pos
             verdict = Verdict.BUDGET_EXHAUSTED
             break
-        if op == _OP_STAY:
-            pass
-        elif op == _OP_UP:
-            node = node.parent
-        elif op == _OP_DOWN_L:
-            node = node.left
-        elif op == _OP_DOWN_R:
-            node = node.right
+        if op < _OP_PUSH:
+            if op:
+                node = links[op][node]
         elif op == _OP_PUSH:
             node = tree._add_child(node, label, action[2])
         else:  # _OP_POP
+            freed.append(node)
             node = tree._remove_leaf(node)
         if consumed != LAMBDA:
             pos += 1
         if trace is not None:
-            trace.append(record(StepRecord, (steps, state, consumed, action, node, tree.size)))
+            trace.append(record(StepRecord, (steps, state, consumed, action, node, tree.size, tree)))
         steps += 1
         state, rows = target, next_rows
     config.state, config.node, config._rows = state, node, rows
@@ -419,11 +457,13 @@ def _prefix_dfs(config: Configuration, symbols, max_len, budget, visit):
 
     The walk steps on the machine's step program inline, as `_run` does,
     and keeps one undo record `(state, rows, node, op)` per step on
-    `config._undo`, which it takes back by opcode.  A real-time machine
-    makes one step per symbol, and a word's verdict is one END lookup and
-    a step count below the run budget; a word whose count has reached the
-    budget is dead, as no extension has a step left either, so no step
-    tests the budget.  A machine with λ moves also makes the λ steps
+    `config._undo`, which it takes back by opcode.  Its pushes append ids,
+    as the configuration's tree has none freed, and taking one back drops
+    the last id, so the walk leaves the tree's lists as it found them.
+    A real-time machine makes one step per symbol, and a word's verdict is
+    one END lookup and a step count below the run budget; a word whose
+    count has reached the budget is dead, as no extension has a step left
+    either, so no step tests the budget.  A machine with λ moves also makes the λ steps
     before each symbol, and a step begun with the run budget spent leaves
     the word dead.  For its verdict the same loop runs the END and λ steps
     to the halt, and takes them back once `visit` has returned.  On such a
@@ -448,6 +488,10 @@ def _prefix_dfs(config: Configuration, symbols, max_len, budget, visit):
     first = symbols[0] if symbols else None
     successor = dict(zip(symbols, symbols[1:] + [None]))
     tree, node, state, rows = config.tree, config.node, config.state, config._rows
+    labels, parents, lefts, rights, shapes = (
+        tree.labels, tree.parents, tree.lefts, tree.rights, tree.shapes
+    )
+    links = (None, parents, lefts, rights)  # by opcode: up, down-l, down-r
     accepting, real_time, run_budget = config._accepting, config._real_time, config._budget
     undo = config._undo
     steps = len(undo)  # with λ moves: the step records in `undo`
@@ -466,7 +510,7 @@ def _prefix_dfs(config: Configuration, symbols, max_len, budget, visit):
                 if not real_time:
                     undo.append((state, rows, node, _MARK))
                 while True:
-                    entry = rows[sym][node.label][node._shape]
+                    entry = rows[sym][labels[node]][shapes[node]]
                     if entry is None:
                         dead = 1
                         break
@@ -478,18 +522,34 @@ def _prefix_dfs(config: Configuration, symbols, max_len, budget, visit):
                         dead = 1
                         break
                     undo.append((state, rows, node, op))
-                    if op == _OP_STAY:
-                        pass
-                    elif op == _OP_UP:
-                        node = node.parent
-                    elif op == _OP_DOWN_L:
-                        node = node.left
-                    elif op == _OP_DOWN_R:
-                        node = node.right
-                    elif op == _OP_PUSH:
-                        node = tree._add_child(node, label, action[2])
-                    else:  # _OP_POP
-                        node = tree._remove_leaf(node)
+                    if op < _OP_PUSH:
+                        if op:
+                            node = links[op][node]
+                    elif op == _OP_PUSH:  # `GammaTree._add_child`, which appends here
+                        child = len(labels)
+                        labels.append(label)
+                        parents.append(node)
+                        lefts.append(None)
+                        rights.append(None)
+                        if action[2] == "l":
+                            lefts[node] = child
+                            shapes[node] += 2
+                            shapes.append(4)
+                        else:
+                            rights[node] = child
+                            shapes[node] += 1
+                            shapes.append(8)
+                        tree.size += 1
+                        node = child
+                    else:  # _OP_POP: `GammaTree._remove_leaf`, inline
+                        child, node = node, parents[node]
+                        if shapes[child] == 4:
+                            lefts[node] = None
+                            shapes[node] -= 2
+                        else:
+                            rights[node] = None
+                            shapes[node] -= 1
+                        tree.size -= 1
                     state, rows = target, next_rows
                     if real_time:
                         break
@@ -513,7 +573,7 @@ def _prefix_dfs(config: Configuration, symbols, max_len, budget, visit):
             elif real_time:
                 # with no step left for END, none is left for a later symbol
                 spent = len(undo) >= run_budget
-                entry = rows[END][node.label][node._shape]
+                entry = rows[END][labels[node]][shapes[node]]
                 accepted = entry is not None and entry[0] in accepting and not spent
             else:
                 verdict = True
@@ -532,10 +592,24 @@ def _prefix_dfs(config: Configuration, symbols, max_len, budget, visit):
             if take_back:
                 while True:
                     state, rows, prev, op = undo.pop()
-                    if op == _OP_PUSH:
-                        tree._remove_leaf(node)
-                    elif op == _OP_POP:
-                        tree._attach(prev)
+                    if op == _OP_PUSH:  # `GammaTree._remove_newest`, inline
+                        del labels[-1], parents[-1], lefts[-1], rights[-1]
+                        if shapes.pop() == 4:
+                            lefts[prev] = None
+                            shapes[prev] -= 2
+                        else:
+                            rights[prev] = None
+                            shapes[prev] -= 1
+                        tree.size -= 1
+                    elif op == _OP_POP:  # `GammaTree._attach`, inline
+                        parent = parents[prev]
+                        if shapes[prev] == 4:
+                            lefts[parent] = prev
+                            shapes[parent] += 2
+                        else:
+                            rights[parent] = prev
+                            shapes[parent] += 1
+                        tree.size += 1
                     node = prev
                     if real_time or op == _MARK:
                         break

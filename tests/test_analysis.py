@@ -42,7 +42,7 @@ from twsda.simulate import (
     _prefix_dfs,
     run,
 )
-from twsda.tree import GammaTree, ROOT_LABEL, STAY, push
+from twsda.tree import ROOT, ROOT_LABEL, STAY, GammaTree, push
 
 
 def test_fibonacci_prefix():
@@ -289,6 +289,29 @@ def test_fib_tree_matches_node_count():
     assert not is_fibonacci_tree(tree, 5)
 
 
+def left_spine(nodes: int) -> GammaTree:
+    """A tree of `nodes` nodes, each but the last the left parent of the next."""
+    return GammaTree.from_snapshot(
+        f"({ROOT_LABEL} " + "(x " * (nodes - 1) + ". .)" + " .)" * (nodes - 1)
+    )
+
+
+def test_shape_predicates_refuse_a_deep_spine():
+    # a 3 000-deep spine exceeds the default recursion limit if the
+    # predicates recurse along it
+    tree = left_spine(3000)
+    assert tree.size == 3000
+    assert not is_complete_binary(tree, 5000)
+    assert not is_fibonacci_tree(tree, 5000)
+
+
+def test_shape_predicates_walk_a_tree_of_the_right_count():
+    # a level's node count: 2^level - 1, and fibonacci(level + 2) - 1
+    assert not is_complete_binary(left_spine(2**12 - 1), 12)
+    assert not is_fibonacci_tree(left_spine(fibonacci(17) - 1), 15)
+    assert is_fibonacci_tree(left_spine(2), 2)
+
+
 def test_cross_check_agreement():
     assert cross_check(build_fib(), ORACLES["fib"](), 200) == []
 
@@ -394,10 +417,10 @@ def spelling_machine(*, lam: bool):
 
 def spine(tree: GammaTree) -> str:
     labels = []
-    node = tree.root.left
+    node = tree.lefts[ROOT]
     while node is not None:
-        labels.append(node.label)
-        node = node.left
+        labels.append(tree.labels[node])
+        node = tree.lefts[node]
     return "".join(labels)
 
 

@@ -10,7 +10,7 @@ from twsda.analysis import (
 from twsda.builders import BUILTINS
 from twsda.machine import LAMBDA, validate
 from twsda.simulate import final_tree, run
-from twsda.tree import STAY
+from twsda.tree import ROOT, STAY
 
 MACHINES = {name: factory() for name, factory in BUILTINS.items()}
 
@@ -94,21 +94,21 @@ def test_cub_storage_is_a_comb(n):
     to n³."""
     tree = final_tree(MACHINES["cub"], "a" * n**3)
     spine = []
-    node = tree.root.left
+    node = tree.lefts[ROOT]
     while node is not None:
         spine.append(node)
-        node = node.left
+        node = tree.lefts[node]
     assert len(spine) == n - 1
-    assert tree.root.right is None
+    assert tree.rights[ROOT] is None
     total_edges = len(spine)
     for j, spine_node in enumerate(spine, start=1):
-        assert spine_node.label == "S"
-        tooth = spine_node.right
+        assert tree.labels[spine_node] == "S"
+        tooth = tree.rights[spine_node]
         length = 0
         while tooth is not None:
-            assert tooth.label == "T" and tooth.right is None
+            assert tree.labels[tooth] == "T" and tree.rights[tooth] is None
             length += 1
-            tooth = tooth.left
+            tooth = tree.lefts[tooth]
         assert length == 3 * (n - j) - 1
         total_edges += length
     assert total_edges == 3 * n * (n - 1) // 2
@@ -175,7 +175,7 @@ def test_expo_first_step_consumes_and_stays():
     m = MACHINES["expo"]
     config = Configuration(m)
     assert config.push("a") == ("a", STAY)
-    assert config.node.path() == "" and config.tree.size == 1
+    assert config.tree.path(config.node) == "" and config.tree.size == 1
 
 
 def test_expo_initial_delay_is_eight_stays():

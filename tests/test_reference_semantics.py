@@ -34,16 +34,16 @@ from twsda.machine import (
 )
 from twsda.oracles import LanguageOracle
 from twsda.simulate import Verdict, final_tree, run
-from twsda.tree import ROOT_LABEL, GammaTree
+from twsda.tree import ROOT, ROOT_LABEL, GammaTree
 
 
 def labels(tree: GammaTree) -> dict[str, str]:
     """The tree as a path→label mapping."""
-    out, stack = {}, [(tree.root, "")]
+    out, stack = {}, [(ROOT, "")]
     while stack:
         node, path = stack.pop()
-        out[path] = node.label
-        for side, child in (("l", node.left), ("r", node.right)):
+        out[path] = tree.labels[node]
+        for side, child in (("l", tree.lefts[node]), ("r", tree.rights[node])):
             if child is not None:
                 stack.append((child, path + side))
     return out

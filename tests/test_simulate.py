@@ -8,9 +8,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from test_machinefile import _actions, _states
-from test_reference_semantics import _busy_rows, _lambda_rows
-from twsda.analysis import cross_check, enumerate_accepted
-from twsda.builders import build_expo, build_mi_hat, build_trie_p
+from test_reference_semantics import _busy_rows, _lambda_rows, naive_run
+from test_tree import QUOTIENT_PREFIXES
+from twsda import analysis
+from twsda.analysis import cross_check, enumerate_accepted, machines_agree
+from twsda.builders import BUILTINS, build_expo, build_mi_hat, build_trie_p
 from twsda.combinators import complement, left_quotient
 from twsda.machine import END, LAMBDA, SpecificityConflict, TransitionRow, machine_from_rows
 from twsda.machinefile import parse_machine
@@ -176,7 +178,7 @@ def test_accepts_now_takes_its_steps_back_when_a_clash_raises():
 
 def seen(config: Configuration) -> tuple:
     violation = config.violation and str(config.violation)
-    return config.state, config.node.path(), config.tree.snapshot(), config.dead, violation
+    return config.state, config.tree.path(config.node), config.tree.snapshot(), config.dead, violation
 
 
 def attempt(step):
@@ -387,7 +389,7 @@ def test_trace_pointer_is_the_node_path(machine, word):
     paths = []
     for sym in [*word, END]:
         assert config.push(sym) is not None
-        paths.append(config.node.path())
+        paths.append(config.tree.path(config.node))
     assert config.push(None) is None
     assert [rec.pointer_after for rec in out.trace] == paths
 
@@ -446,3 +448,112 @@ def test_traced_run_memory_is_linear_in_pointer_depth():
         return top
 
     assert peak(4000) / peak(2000) < 3
+
+
+# λ machines that push and pop for ever: `PUSH_POP` pushes a left child and
+# pops it; `BOTH_SIDES` pushes a left and a right child, then pops the left
+# one while the right one is the newest node, then the right one.
+PUSH_POP = mk(
+    [row("q0", LAMBDA, "q1", push("x", "l")), row("q1", LAMBDA, "q0", POP, anc="l")],
+    real_time=False, non_erasing=False,
+)
+BOTH_SIDES = mk(
+    [
+        row("q0", LAMBDA, "q1", push("x", "l"), hl="-", hr="-"),
+        row("q1", LAMBDA, "q2", UP, anc="l"),
+        row("q2", LAMBDA, "q3", push("x", "r")),
+        row("q3", LAMBDA, "q4", UP, anc="r"),
+        row("q4", LAMBDA, "q5", DOWN_L),
+        row("q5", LAMBDA, "q6", POP, anc="l"),
+        row("q6", LAMBDA, "q7", DOWN_R),
+        row("q7", LAMBDA, "q0", POP, anc="r"),
+    ],
+    real_time=False, non_erasing=False,
+)
+
+
+@pytest.mark.parametrize("machine", [PUSH_POP, BOTH_SIDES], ids=["push-pop", "both-sides"])
+def test_untraced_run_keeps_memory_bounded_under_pushes_and_pops(machine):
+    """A run reuses the ids of the leaves it pops, so its node lists stay
+    as long as its largest tree, whichever leaf it pops."""
+    tracemalloc.start()
+    try:
+        out = run(machine, "", budget=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.verdict is Verdict.BUDGET_EXHAUSTED and out.steps_taken == 100_000
+    assert peak < 1_000_000
+    tree = final_tree(machine, "", budget=100_000)
+    tree.check_invariants()
+    assert len(tree.labels) <= 3
+
+
+@pytest.mark.parametrize("machine", [PUSH_POP, BOTH_SIDES], ids=["push-pop", "both-sides"])
+def test_traced_run_reuses_no_id_its_records_name(machine):
+    out = run(machine, "", budget=80, traced=True)
+    want = naive_run(machine, "", budget=80)
+    assert [rec.pointer_after for rec in out.trace] == [rec[3] for rec in want.records]
+    pushed = [rec.node_after for rec in out.trace if rec.action[0] == "push"]
+    assert len(pushed) == len(set(pushed)) >= 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(_busy_rows(), st.lists(st.text("ab¢⊳", max_size=12), min_size=1, max_size=6))
+def test_traced_runs_keep_at_most_one_node_per_step(rows, words):
+    """A real-time run on w makes |w| + 1 steps, each adding at most one
+    node to the root: the linear-space bound.  The node count each record
+    gives is the number of nodes in the run's tree."""
+    try:
+        machine = machine_from_rows(
+            "rand", ("a", "b", "¢", "⊳"), ("x", "y"), "q0", ["final"], rows,
+            real_time=True, non_erasing=False,
+        )
+    except SpecificityConflict:
+        assume(False)
+    for word in words:
+        out = run(machine, word, traced=True)
+        assert max((rec.node_count_after for rec in out.trace), default=1) <= len(word) + 2
+        if out.trace:
+            tree = out.trace[-1].tree
+            tree.check_invariants()
+            assert out.trace[-1].node_count_after == tree.size == len(tree.nodes())
+
+
+def store(config: Configuration) -> tuple:
+    """A configuration's node lists, free ids, size, tree, node and state."""
+    tree = config.tree
+    lists = (tree.labels, tree.parents, tree.lefts, tree.rights, tree.shapes, tree.free)
+    return (
+        [entries[:] for entries in lists], tree.size, tree.snapshot(), config.node, config.state,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_a_walk_leaves_the_store_as_it_found_it(name, monkeypatch):
+    """The walks of `enumerate_accepted`, `cross_check` and `machines_agree`
+    from a quotient machine's configuration leave it as they found it, down
+    to its node lists; so do the pushes `machines_agree` makes on its second
+    configuration, once they are popped."""
+    machine = left_quotient(BUILTINS[name](), QUOTIENT_PREFIXES[name])
+    made = []
+
+    class Recorded(Configuration):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append((self, store(self)))
+
+    monkeypatch.setattr(analysis, "Configuration", Recorded)
+    max_len = 30 if name in ("expo", "fib", "cub") else 5
+    anything = LanguageOracle("anything", machine.input_alphabet, lambda word: True)
+    enumerate_accepted(machine, max_len)
+    cross_check(machine, anything, max_len)
+    machines_agree(machine, machine, max_len)
+    assert len(made) == 4
+    for config, before in made:
+        while config._undo or config.dead:
+            config.pop()
+        assert store(config) == before
+        config.tree.check_invariants()

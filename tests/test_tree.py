@@ -11,6 +11,7 @@ from twsda.tree import (
     DOWN_L,
     DOWN_R,
     POP,
+    ROOT,
     ROOT_LABEL,
     STAY,
     UP,
@@ -58,15 +59,15 @@ def test_fresh_tree_is_single_root():
     tree = GammaTree()
     assert tree.size == 1
     assert labels(tree) == {"": ROOT_LABEL}
-    assert tree.root.node_type() == NodeType("-", "-", "-")
+    assert tree.node_type(ROOT) == NodeType("-", "-", "-")
 
 
 def test_node_type_of_fresh_left_leaf():
     config = steps("xl")
     tree, node = config.tree, config.node
-    assert node.path() == "l"
-    assert tree.node_at("l").node_type() == ("l", "-", "-")
-    assert tree.root.node_type() == ("-", "+", "-")
+    assert tree.path(node) == "l"
+    assert tree.node_type(tree.node_at("l")) == ("l", "-", "-")
+    assert tree.node_type(ROOT) == ("-", "+", "-")
 
 
 def complete_tree(level: int) -> GammaTree:
@@ -81,7 +82,7 @@ def complete_tree(level: int) -> GammaTree:
             config.push("x" + side)
             grow(remaining - 1)
             config.push("u")
-            assert config.node is node
+            assert config.node == node
 
     grow(level - 1)
     return config.tree
@@ -90,19 +91,19 @@ def complete_tree(level: int) -> GammaTree:
 def test_node_type_complete_level_three():
     tree = complete_tree(3)
     assert tree.size == 7
-    assert tree.root.node_type() == ("-", "+", "+")
-    assert tree.node_at("lr").node_type() == ("r", "-", "-")
+    assert tree.node_type(ROOT) == ("-", "+", "+")
+    assert tree.node_type(tree.node_at("lr")) == ("r", "-", "-")
 
 
 def test_stay_changes_nothing():
     before = labels(GammaTree())
     config = step_once(GammaTree(), "", STAY)
-    assert config.node.path() == "" and labels(config.tree) == before
+    assert config.tree.path(config.node) == "" and labels(config.tree) == before
 
 
 def test_push_appends_and_descends():
     config = steps("xr")
-    assert config.node.path() == "r"
+    assert config.tree.path(config.node) == "r"
     assert sorted(labels(config.tree)) == ["", "r"]
 
 
@@ -115,7 +116,7 @@ def test_pop_requires_leaf():
     tree = complete_tree(2)
     assert isinstance(step_once(tree, "", POP).violation, WellFormednessViolation)
     config = step_once(tree, "l", POP)
-    assert config.node.path() == "" and config.tree.size == 2
+    assert config.tree.path(config.node) == "" and config.tree.size == 2
 
 
 @pytest.mark.parametrize(
@@ -172,19 +173,19 @@ def assert_clone_matches(tree: GammaTree) -> None:
     twin = tree.clone()
     twin.check_invariants()
     assert twin.snapshot() == tree.snapshot() and twin.size == tree.size
-    pairs = [(tree.root, twin.root)]
-    for src, dst in pairs:
-        assert dst is not src and dst._shape == src._shape
-        for a, b in ((src.left, dst.left), (src.right, dst.right)):
-            if a is not None:
-                pairs.append((a, b))
-    before = tree.snapshot(), tree.size, [src._shape for src, _ in pairs]
-    twin._add_child(next(dst for _, dst in pairs if dst.left is None), "z", "l")
-    leaf = next((dst for _, dst in reversed(pairs) if dst._shape in (4, 8)), None)
+    nodes = tree.nodes()
+    assert twin.nodes() == nodes
+    for entries in ("labels", "parents", "lefts", "rights", "shapes"):
+        assert getattr(twin, entries) is not getattr(tree, entries)
+    for node in nodes:
+        assert twin.shapes[node] == tree.shapes[node]
+    before = tree.snapshot(), tree.size, [tree.shapes[node] for node in nodes]
+    twin._add_child(next(node for node in nodes if twin.lefts[node] is None), "z", "l")
+    leaf = next((node for node in reversed(nodes) if twin.shapes[node] in (4, 8)), None)
     if leaf is not None:  # a leaf of the copy other than its root
         twin._remove_leaf(leaf)
-    twin.root.label = "z"
-    assert (tree.snapshot(), tree.size, [src._shape for src, _ in pairs]) == before
+    twin.labels[ROOT] = "z"
+    assert (tree.snapshot(), tree.size, [tree.shapes[node] for node in nodes]) == before
     tree.check_invariants()
 
 
@@ -243,7 +244,7 @@ def test_random_walk_keeps_invariants(moves):
             continue
         assert config.violation is None
         new_path = want.records[0][3]  # the reference's pointer after the step
-        assert config.node.path() == new_path
+        assert config.tree.path(config.node) == new_path
         # up and pop drop the last step; the rest append their side, if any
         assert new_path == (path[:-1] if code in ("u", "pop") else path + code[1:])
         path = new_path
