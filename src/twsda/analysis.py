@@ -175,15 +175,15 @@ def is_complete_binary(tree: GammaTree, level: int) -> bool:
         return False  # a stored tree always has its root
     stack = [(ROOT, level)]
     while stack:
-        node, level = stack.pop()
+        node, height = stack.pop()
         left, right = tree.children(node)
-        if level == 1:
+        if height == 1:
             if left is not None or right is not None:
                 return False
         elif left is None or right is None:
             return False
         else:
-            stack += ((left, level - 1), (right, level - 1))
+            stack += ((left, height - 1), (right, height - 1))
     return True
 
 
@@ -206,17 +206,17 @@ def is_fibonacci_tree(tree: GammaTree, level: int) -> bool:
         return False
     stack = [(ROOT, level)]
     while stack:
-        node, level = stack.pop()
+        node, height = stack.pop()
         left, right = tree.children(node)
-        if level == 1:
+        if height == 1:
             if left is not None or right is not None:
                 return False
             continue
-        if left is None or (right is None) != (level == 2):
+        if left is None or (right is None) != (height == 2):
             return False
-        stack.append((left, level - 1))
+        stack.append((left, height - 1))
         if right is not None:
-            stack.append((right, level - 2))
+            stack.append((right, height - 2))
     return True
 
 
