@@ -8,13 +8,13 @@ from .machine import (
     END,
     Machine,
     TransitionKey,
-    TransitionRow,
     _legal,
-    expand_rows,
+    _make_keys,
+    _node_shapes,
     validate,
 )
 from .simulate import Verdict, _run
-from .tree import STAY
+from .tree import ROOT_LABEL, STAY
 
 
 class NotRealTime(ValueError):
@@ -69,18 +69,24 @@ def complement(machine: Machine) -> Machine:
     undefined lookup, and every rule whose action is illegal at its own
     key's shape (a run that aborts there rejects), into a sink state that
     consumes the rest of the input, and then to flip which states accept.
+    The sink layer is the table that all-wildcard rows to the sink would
+    expand to, key for key and in the same order, made without expanding.
     """
     if not machine.real_time:
         raise NotRealTime("complement is defined for real-time machines")
     sink = "sink"
     while sink in machine.states:
         sink += "+"
-    to_sink = [
-        TransitionRow(state, sym, "*", "*", "*", "*", sink, STAY)
-        for state in machine.states + (sink,)
-        for sym in machine.input_alphabet + (END,)
-    ]
-    transitions = expand_rows(to_sink, machine.tree_alphabet)
+    shapes = _node_shapes("*", "*", "*", "*", (*machine.tree_alphabet, ROOT_LABEL))
+    transitions = dict.fromkeys(
+        [
+            key
+            for state in machine.states + (sink,)
+            for sym in machine.input_alphabet + (END,)
+            for key in _make_keys(state, sym, shapes)
+        ],
+        (sink, STAY),
+    )
     transitions.update(
         (key, rhs) for key, rhs in machine.transitions.items() if _legal(key, rhs[1])
     )
@@ -146,7 +152,9 @@ def left_quotient(machine: Machine, prefix: Sequence[str], budget=None) -> Machi
     Runs `machine` over `prefix` as `run` does, refusing the same
     arguments, but stops as soon as the prefix is consumed: the endmarker
     belongs after the quotient word instead.  The reached configuration
-    becomes the new machine's starting state and storage.  Raises
+    becomes the new machine's starting state and storage; the storage is
+    renumbered first when the run freed ids, so that no run of the quotient
+    copies them (`GammaTree.compacted`).  Raises
     PrefixKillsMachine when the machine halts or aborts before the prefix
     is consumed: every quotient word would be rejected anyway, and no
     single frozen configuration can express that.  Raises ValueError when
@@ -163,12 +171,15 @@ def left_quotient(machine: Machine, prefix: Sequence[str], budget=None) -> Machi
             f"{pos} of {len(prefix)} prefix symbols"
         )
 
-    shown = "".join(prefix) if all(len(s) == 1 for s in prefix) else "|".join(prefix)
+    if isinstance(prefix, str):
+        shown = prefix
+    else:
+        shown = "".join(prefix) if all(len(s) == 1 for s in prefix) else "|".join(prefix)
     result = replace(
         machine,
         name=f"{machine.name}-after-{shown or 'λ'}",
         start=config.state,
-        initial_tree=config.tree,
+        initial_tree=config.tree.compacted(),
         initial_pointer=config.tree.path(config.node),
     )
     assert not validate(result)

@@ -1,9 +1,9 @@
 """Machine descriptions: transition tables, wildcard rows, validation."""
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .tree import ROOT, ROOT_LABEL, _SHAPE_BASE, GammaTree, format_action
@@ -46,7 +46,7 @@ class TransitionRow:
 
     @property
     def specificity(self) -> int:
-        return sum(f != "*" for f in (self.ancestry, self.has_left, self.has_right, self.label))
+        return 4 - (self.ancestry, self.has_left, self.has_right, self.label).count("*")
 
     def describe(self) -> str:
         where = f" (line {self.origin})" if self.origin is not None else ""
@@ -70,40 +70,94 @@ class SpecificityConflict(ValueError):
         )
 
 
+def _node_shapes(
+    ancestry: str, has_left: str, has_right: str, label: str, labels: tuple[str, ...]
+) -> list[tuple[str, str, str, str]]:
+    """The concrete (ancestry, has_left, has_right, label) tails of the keys
+    a row pattern stands for, in the order `expand_rows` makes them:
+    ancestry, then label, then has_left, then has_right.
+
+    `labels` is what a '*' label stands for, ⊥ included.  Only consistent
+    tails are made: the root is exactly the ⊥-labeled node, so ancestry
+    '-' pairs only with label ⊥.
+    """
+    return [
+        (anc, hl, hr, lab)
+        for anc in (ANCESTRIES if ancestry == "*" else (ancestry,))
+        for lab in (labels if label == "*" else (label,))
+        if (anc == "-") == (lab == ROOT_LABEL)
+        for hl in (FLAGS if has_left == "*" else (has_left,))
+        for hr in (FLAGS if has_right == "*" else (has_right,))
+    ]
+
+
+_new_tuple = tuple.__new__
+
+
+def _make_keys(state: str, symbol: str, shapes: list[tuple]) -> list[TransitionKey]:
+    """The keys of `state` reading `symbol` at each of `_node_shapes`' tails.
+
+    They are made by `tuple.__new__`, which gives the key that
+    `TransitionKey(...)` does without its Python-level `__new__`.
+    """
+    head = (state, symbol)
+    return [_new_tuple(TransitionKey, head + shape) for shape in shapes]
+
+
+def row_matches_a_node(row: TransitionRow, tree_alphabet: Iterable[str]) -> bool:
+    """Whether `expand_rows([row], tree_alphabet)` makes any key, decided
+    without expanding.
+
+    The flags always have a concrete value, so only the ancestry and the
+    label can rule each other out: ancestry '-' needs label ⊥, a child
+    needs any other label, and a '*' label on a child needs a tree symbol.
+    """
+    if row.ancestry == "*":
+        return True
+    if row.label == "*":
+        return row.ancestry == "-" or any(lab != ROOT_LABEL for lab in tree_alphabet)
+    return (row.ancestry == "-") == (row.label == ROOT_LABEL)
+
+
 def expand_rows(rows: Iterable[TransitionRow], tree_alphabet: Iterable[str]):
     """Expand wildcard rows into a concrete transition table.
 
     A more specific row (more concrete fields) overrides a more general one
     on the keys they share; two equally specific rows that disagree on a
     key conflict unless an even more specific row decides that key.  The
-    result is independent of row order.  Only consistent keys are
-    generated: the root is exactly the ⊥-labeled node, so ancestry '-'
-    pairs only with label ⊥.
+    result is independent of row order, and its keys are in the order
+    they first appear: by row, then as `_node_shapes` lists them.  Only
+    consistent keys are generated: the root is exactly the ⊥-labeled node,
+    so ancestry '-' pairs only with label ⊥.
+
+    The work is one dictionary probe per key made, with each row's key
+    shapes worked out once per distinct wildcard pattern.  Of several
+    conflicts the least key is reported.
     """
-    labels = tuple(tree_alphabet) + (ROOT_LABEL,)
+    labels = (*tree_alphabet, ROOT_LABEL)
     table: dict[TransitionKey, tuple[str, tuple]] = {}
-    chosen: dict[TransitionKey, TransitionRow] = {}
+    chosen: dict[TransitionKey, tuple[int, TransitionRow]] = {}  # key -> (specificity, row)
     conflicts: dict[TransitionKey, tuple[TransitionRow, TransitionRow]] = {}
+    shapes_of: dict[tuple, list] = {}  # row pattern -> _node_shapes of it
     for row in rows:
-        ancs = ANCESTRIES if row.ancestry == "*" else (row.ancestry,)
-        hls = FLAGS if row.has_left == "*" else (row.has_left,)
-        hrs = FLAGS if row.has_right == "*" else (row.has_right,)
-        labs = labels if row.label == "*" else (row.label,)
+        pattern = (row.ancestry, row.has_left, row.has_right, row.label)
+        shapes = shapes_of.get(pattern)
+        if shapes is None:
+            shapes = shapes_of[pattern] = _node_shapes(*pattern, labels)
+        head = (row.state, row.symbol)
         rhs = (row.target, row.action)
-        for anc in ancs:
-            for lab in labs:
-                if (anc == "-") != (lab == ROOT_LABEL):
-                    continue
-                for hl in hls:
-                    for hr in hrs:
-                        key = TransitionKey(row.state, row.symbol, anc, hl, hr, lab)
-                        prev = chosen.get(key)
-                        if prev is None or row.specificity > prev.specificity:
-                            chosen[key] = row
-                            table[key] = rhs
-                            conflicts.pop(key, None)
-                        elif row.specificity == prev.specificity and table[key] != rhs:
-                            conflicts.setdefault(key, (prev, row))
+        rank = (4 - pattern.count("*"), row)  # (row.specificity, row), one object per row
+        for shape in shapes:
+            key = _new_tuple(TransitionKey, head + shape)
+            prev = chosen.setdefault(key, rank)
+            if prev is rank:  # a new key
+                table[key] = rhs
+            elif rank[0] > prev[0]:
+                chosen[key] = rank
+                table[key] = rhs
+                conflicts.pop(key, None)
+            elif rank[0] == prev[0] and table[key] != rhs:
+                conflicts.setdefault(key, (prev[1], row))
     if conflicts:
         key = min(conflicts)
         raise SpecificityConflict(key, *conflicts[key])
@@ -222,29 +276,31 @@ def _compile(machine: Machine) -> dict:
             found = interned[spec] = (*spec, program.get(spec[0]))
         return found
 
-    rows = defaultdict(lambda: [None] * 12)  # (state, symbol, label) -> row
+    rows: dict = {}  # (state, symbol, label) -> row
+    lambdas = []
     for key, (target, action) in trans.items():
-        if key.symbol != LAMBDA:
-            rows[key.state, key.symbol, key.label][_shape(key)] = (
-                entry(key, key.symbol, target, action)
-            )
+        state, symbol, anc, hl, hr, label = key
+        shape = _SHAPE_BASE[anc] + (hl == "+") * 2 + (hr == "+")  # as in GammaTree.shapes
+        if symbol == LAMBDA:
+            lambdas.append((key, shape, target, action))
+            continue
+        row = rows.get((state, symbol, label))
+        if row is None:
+            row = rows[state, symbol, label] = [None] * 12
+        row[shape] = entry(key, symbol, target, action)
     if not machine.real_time:
-        for key, (target, action) in trans.items():
-            if key.symbol == LAMBDA:
-                step, shape = entry(key, LAMBDA, target, action), _shape(key)
-                for sym in symbols:
-                    row = rows[key.state, sym, key.label]
-                    row[shape] = step if row[shape] is None else _CLASH_ENTRY
+        for key, shape, target, action in lambdas:
+            step = entry(key, LAMBDA, target, action)
+            for sym in symbols:
+                row = rows.get((key.state, sym, key.label))
+                if row is None:
+                    row = rows[key.state, sym, key.label] = [None] * 12
+                row[shape] = step if row[shape] is None else _CLASH_ENTRY
     for (state, sym, label), row in rows.items():
         if program[state][sym] is no_rules:
             program[state][sym] = dict(no_rules)
         program[state][sym][label] = tuple(row)
     return program
-
-
-def _shape(key: TransitionKey) -> int:
-    """The shape code of a node of the key's shape (`GammaTree.shapes`)."""
-    return _SHAPE_BASE[key.ancestry] + 2 * (key.has_left == "+") + (key.has_right == "+")
 
 
 def machine_from_rows(
@@ -261,14 +317,10 @@ def machine_from_rows(
 ) -> Machine:
     """Build a Machine, collecting states in first-appearance order."""
     rows = list(rows)
-    states: list[str] = [start]
+    states = {start: None}  # a dict keeps first appearances in order
     for row in rows:
-        for st in (row.state, row.target):
-            if st not in states:
-                states.append(st)
-    for st in accepting:
-        if st not in states:
-            states.append(st)
+        states[row.state] = states[row.target] = None
+    states.update(dict.fromkeys(accepting))
     return Machine(
         name=name,
         states=tuple(states),
@@ -307,10 +359,17 @@ def validate(machine: Machine) -> list[Violation]:
     """Diagnose a machine; an empty list means it is well put together.
 
     Reports λ/symbol determinism conflicts, λ rules in real-time machines,
-    pops in non-erasing machines, and references to unknown states or
-    symbols.  A rule whose action is illegal at its own key's shape is not
-    reported: legality is a property of the key, and a run that reaches
-    such a rule aborts with a WellFormednessViolation.
+    pops in non-erasing machines, references to unknown states or symbols,
+    and a bad initial tree or pointer.  A rule whose action is illegal at
+    its own key's shape is not reported: legality is a property of the key,
+    and a run that reaches such a rule aborts with a WellFormednessViolation.
+
+    The order is fixed: start and accepting states, the tree alphabet, then
+    the faults of each transition in key order, then the determinism
+    conflicts by slot, then the initial configuration.  The table is
+    checked through the sets of its distinct states, symbols, labels and
+    actions; only the keys at fault are sorted, and the λ slots are
+    collected only when the table has a λ key.
     """
     out: list[Violation] = []
     states = set(machine.states)
@@ -325,48 +384,53 @@ def validate(machine: Machine) -> list[Violation]:
     if ROOT_LABEL in machine.tree_alphabet:
         out.append(Violation(UNKNOWN_SYMBOL, f"tree alphabet may not contain the reserved root label {ROOT_LABEL}"))
 
-    lambda_slots = set()
-    symbol_slots = {}
-    for key in machine.transitions:
-        if key.symbol == LAMBDA:
-            lambda_slots.add((key.state, key.ancestry, key.has_left, key.has_right, key.label))
-        else:
-            symbol_slots.setdefault(
-                (key.state, key.ancestry, key.has_left, key.has_right, key.label), []
-            ).append(key.symbol)
+    trans = machine.transitions
+    key_states = set(map(itemgetter(0), trans))
+    key_symbols = set(map(itemgetter(1), trans))
+    key_labels = set(map(itemgetter(5), trans))
+    outcomes = set(trans.values())
+    targets = {target for target, _ in outcomes}
+    actions = {action for _, action in outcomes}
+    bad_sources = key_states - states
+    bad_targets = targets - states
+    bad_symbols = key_symbols - inputs - {LAMBDA, END}
+    bad_labels = key_labels - labels
+    bad_actions = {
+        action for action in actions
+        if (action[0] == "push" and action[1] not in machine.tree_alphabet)
+        or (action[0] == "pop" and machine.non_erasing)
+    }
+    lambda_at_fault = machine.real_time and LAMBDA in key_symbols
+    if bad_sources or bad_targets or bad_symbols or bad_labels or bad_actions or lambda_at_fault:
+        at_fault = sorted(
+            key for key, (target, action) in trans.items()
+            if key.state in bad_sources or target in bad_targets or key.symbol in bad_symbols
+            or key.label in bad_labels or action in bad_actions
+            or (lambda_at_fault and key.symbol == LAMBDA)
+        )
+        for key in at_fault:
+            out.extend(_key_violations(machine, key, *trans[key], states, inputs, labels))
 
-    for key in sorted(machine.transitions):
-        target, action = machine.transitions[key]
-        if key.state not in states:
-            out.append(Violation(UNKNOWN_STATE, f"transition from unknown state {key.state!r}"))
-        if target not in states:
-            out.append(Violation(UNKNOWN_STATE, f"transition to unknown state {target!r}"))
-        if key.symbol not in inputs and key.symbol not in (LAMBDA, END):
-            out.append(Violation(UNKNOWN_SYMBOL, f"transition reads unknown symbol {key.symbol!r}"))
-        if key.label not in labels:
-            out.append(Violation(UNKNOWN_SYMBOL, f"transition keyed on unknown tree symbol {key.label!r}"))
-        if action[0] == "push" and action[1] not in machine.tree_alphabet:
-            out.append(Violation(UNKNOWN_SYMBOL, f"push of unknown tree symbol {action[1]!r}"))
-        if key.symbol == LAMBDA and machine.real_time:
-            out.append(
-                Violation(REAL_TIME_VIOLATION, f"λ rule {tuple(key)} in a machine flagged realtime")
-            )
-        if action[0] == "pop" and machine.non_erasing:
-            out.append(
-                Violation(NON_ERASING_VIOLATION, f"pop rule {tuple(key)} in a machine flagged nonerasing")
-            )
-
-    for slot in sorted(lambda_slots):
-        symbols = symbol_slots.get(slot)
-        if symbols:
-            state, anc, hl, hr, label = slot
-            out.append(
-                Violation(
-                    DETERMINISM_CONFLICT,
-                    f"state {state!r} at ({anc},{hl},{hr})/{label} has both a λ rule "
-                    f"and rules on {sorted(symbols)}",
+    if LAMBDA in key_symbols:
+        lambda_slots = set()
+        symbol_slots = {}
+        for key in trans:
+            slot = (key.state, key.ancestry, key.has_left, key.has_right, key.label)
+            if key.symbol == LAMBDA:
+                lambda_slots.add(slot)
+            else:
+                symbol_slots.setdefault(slot, []).append(key.symbol)
+        for slot in sorted(lambda_slots):
+            symbols = symbol_slots.get(slot)
+            if symbols:
+                state, anc, hl, hr, label = slot
+                out.append(
+                    Violation(
+                        DETERMINISM_CONFLICT,
+                        f"state {state!r} at ({anc},{hl},{hr})/{label} has both a λ rule "
+                        f"and rules on {sorted(symbols)}",
+                    )
                 )
-            )
 
     if machine.initial_tree is not None:
         tree = machine.initial_tree
@@ -375,16 +439,20 @@ def validate(machine: Machine) -> list[Violation]:
         except AssertionError as exc:
             out.append(Violation(BAD_INITIAL_CONFIG, f"initial tree is inconsistent: {exc}"))
         else:
-            # breadth first, so shortest paths come first and 'l' before 'r'
-            for node in tree.nodes():
-                if node != ROOT and tree.labels[node] not in machine.tree_alphabet:
-                    out.append(
-                        Violation(
-                            BAD_INITIAL_CONFIG,
-                            f"initial tree node '{tree.path(node)}' labeled "
-                            f"{tree.labels[node]!r} outside the tree alphabet",
+            # Every id after the root's (0) holds a tree symbol unless a node
+            # is at fault or a freed id keeps a stale label; only then are
+            # the nodes walked, breadth first, so shortest paths come first
+            # and 'l' before 'r'.
+            if not set(machine.tree_alphabet).issuperset(tree.labels[1:]):
+                for node in tree.nodes():
+                    if node != ROOT and tree.labels[node] not in machine.tree_alphabet:
+                        out.append(
+                            Violation(
+                                BAD_INITIAL_CONFIG,
+                                f"initial tree node '{tree.path(node)}' labeled "
+                                f"{tree.labels[node]!r} outside the tree alphabet",
+                            )
                         )
-                    )
         if not tree.has(machine.initial_pointer):
             out.append(
                 Violation(
@@ -395,5 +463,29 @@ def validate(machine: Machine) -> list[Violation]:
     elif machine.initial_pointer:
         out.append(
             Violation(BAD_INITIAL_CONFIG, "initial pointer given without an initial tree")
+        )
+    return out
+
+
+def _key_violations(machine, key, target, action, states, inputs, labels) -> list[Violation]:
+    """The faults of one transition, in the order `validate` lists them."""
+    out = []
+    if key.state not in states:
+        out.append(Violation(UNKNOWN_STATE, f"transition from unknown state {key.state!r}"))
+    if target not in states:
+        out.append(Violation(UNKNOWN_STATE, f"transition to unknown state {target!r}"))
+    if key.symbol not in inputs and key.symbol not in (LAMBDA, END):
+        out.append(Violation(UNKNOWN_SYMBOL, f"transition reads unknown symbol {key.symbol!r}"))
+    if key.label not in labels:
+        out.append(Violation(UNKNOWN_SYMBOL, f"transition keyed on unknown tree symbol {key.label!r}"))
+    if action[0] == "push" and action[1] not in machine.tree_alphabet:
+        out.append(Violation(UNKNOWN_SYMBOL, f"push of unknown tree symbol {action[1]!r}"))
+    if key.symbol == LAMBDA and machine.real_time:
+        out.append(
+            Violation(REAL_TIME_VIOLATION, f"λ rule {tuple(key)} in a machine flagged realtime")
+        )
+    if action[0] == "pop" and machine.non_erasing:
+        out.append(
+            Violation(NON_ERASING_VIOLATION, f"pop rule {tuple(key)} in a machine flagged nonerasing")
         )
     return out

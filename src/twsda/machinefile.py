@@ -34,11 +34,11 @@ from .machine import (
     Machine,
     SpecificityConflict,
     TransitionRow,
-    expand_rows,
     machine_from_rows,
+    row_matches_a_node,
     validate,
 )
-from .tree import DOWN_L, DOWN_R, GammaTree, POP, ROOT_LABEL, STAY, UP, push
+from .tree import DOWN_L, DOWN_R, GammaTree, POP, ROOT_LABEL, STAY, UP
 
 FILE_TO_SYMBOL = {
     "dot": "•",
@@ -115,13 +115,21 @@ def format_word(word) -> str:
     return "".join(word) if word else "λ"
 
 
-def _parse_action(tokens: list[str]):
-    plain = {"up": UP, "stay": STAY, "down-l": DOWN_L, "down-r": DOWN_R, "pop": POP}
-    if len(tokens) == 1 and tokens[0] in plain:
-        return plain[tokens[0]]
-    if len(tokens) == 3 and tokens[0] == "push" and tokens[2] in ("l", "r"):
-        return push(resolve_symbol(tokens[1]), tokens[2])
-    raise ValueError(f"bad action {' '.join(tokens)!r}")
+_PLAIN_ACTIONS = {"up": UP, "stay": STAY, "down-l": DOWN_L, "down-r": DOWN_R, "pop": POP}
+
+# node type token -> (ancestry, has_left, has_right); every other token is bad
+_NODE_TYPES = {
+    f"({anc},{hl},{hr})": (anc, hl, hr)
+    for anc in ("-", "l", "r", "*") for hl in ("-", "+", "*") for hr in ("-", "+", "*")
+}
+
+
+def _spellings(symbols: list[str]) -> dict[str, str]:
+    """Every token that names one of `symbols`: the symbol itself and its
+    ASCII spelling, if it has one; `resolve_symbol` maps each to its symbol."""
+    named = {symbol: symbol for symbol in symbols}
+    named.update((token, sym) for token, sym in FILE_TO_SYMBOL.items() if sym in named)
+    return named
 
 
 def _format_action(action: tuple) -> str:
@@ -140,12 +148,14 @@ def parse_machine(text: str, name: str = "machine") -> Machine:
     trans_lines: list[tuple[int, list[str]]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.partition("#")[0] if "#" in raw else raw
+        tokens = line.split()
+        if not tokens:
             continue
-        if line.split(maxsplit=1)[0] == "trans":
-            trans_lines.append((lineno, line.split()))
+        if tokens[0] == "trans":
+            trans_lines.append((lineno, tokens))
             continue
+        line = line.strip()
         head, sep, rest = line.partition(":")
         if sep == ":" and head in _DIRECTIVES:
             if head in directives:
@@ -217,9 +227,12 @@ def parse_machine(text: str, name: str = "machine") -> Machine:
         else:
             initial_pointer = pointer
 
-    alphaset = set(alphabet)
-    labelset = set(tree_symbols)
+    # token -> what it names; a token outside these dicts is undeclared
+    input_of = {"lambda": LAMBDA, "END": END, **_spellings(alphabet)}
+    tree_symbol_of = _spellings(tree_symbols)
+    label_of = {"ROOT": ROOT_LABEL, "*": "*", **tree_symbol_of}
     rows: list[TransitionRow] = []
+    mentioned = {start}
     for lineno, tokens in trans_lines:
         if len(tokens) < 8 or tokens[5] != "->":
             problems.append(
@@ -231,55 +244,42 @@ def parse_machine(text: str, name: str = "machine") -> Machine:
             )
             continue
         _, state, in_tok, type_tok, label_tok, _, target = tokens[:7]
-        if in_tok == "lambda":
-            symbol = LAMBDA
-        elif in_tok == "END":
-            symbol = END
-        else:
-            symbol = resolve_symbol(in_tok)
-            if symbol not in alphaset:
-                problems.append(
-                    Diagnostic(lineno, "unknown-symbol", f"input symbol {in_tok!r} not in alphabet")
-                )
-                continue
-        if not (type_tok.startswith("(") and type_tok.endswith(")")):
-            problems.append(Diagnostic(lineno, "syntax", f"bad node type {type_tok!r}"))
-            continue
-        fields = type_tok[1:-1].split(",")
-        if (
-            len(fields) != 3
-            or fields[0] not in ("-", "l", "r", "*")
-            or fields[1] not in ("-", "+", "*")
-            or fields[2] not in ("-", "+", "*")
-        ):
-            problems.append(Diagnostic(lineno, "syntax", f"bad node type {type_tok!r}"))
-            continue
-        if label_tok == "ROOT":
-            label = ROOT_LABEL
-        elif label_tok == "*":
-            label = "*"
-        else:
-            label = resolve_symbol(label_tok)
-            if label not in labelset:
-                problems.append(
-                    Diagnostic(lineno, "unknown-symbol", f"tree symbol {label_tok!r} not declared")
-                )
-                continue
-        try:
-            action = _parse_action(tokens[7:])
-        except ValueError as exc:
-            problems.append(Diagnostic(lineno, "syntax", str(exc)))
-            continue
-        if action[0] == "push" and action[1] not in labelset:
+        symbol = input_of.get(in_tok)
+        if symbol is None:
             problems.append(
-                Diagnostic(lineno, "unknown-symbol", f"push of undeclared tree symbol {tokens[8]!r}")
+                Diagnostic(lineno, "unknown-symbol", f"input symbol {in_tok!r} not in alphabet")
             )
             continue
+        fields = _NODE_TYPES.get(type_tok)
+        if fields is None:
+            problems.append(Diagnostic(lineno, "syntax", f"bad node type {type_tok!r}"))
+            continue
+        label = label_of.get(label_tok)
+        if label is None:
+            problems.append(
+                Diagnostic(lineno, "unknown-symbol", f"tree symbol {label_tok!r} not declared")
+            )
+            continue
+        if len(tokens) == 8 and tokens[7] in _PLAIN_ACTIONS:
+            action = _PLAIN_ACTIONS[tokens[7]]
+        elif len(tokens) == 10 and tokens[7] == "push" and tokens[9] in ("l", "r"):
+            pushed = tree_symbol_of.get(tokens[8])
+            if pushed is None:
+                problems.append(
+                    Diagnostic(lineno, "unknown-symbol", f"push of undeclared tree symbol {tokens[8]!r}")
+                )
+                continue
+            action = ("push", pushed, tokens[9])
+        else:
+            problems.append(Diagnostic(lineno, "syntax", f"bad action {' '.join(tokens[7:])!r}"))
+            continue
+        anc, has_left, has_right = fields
         rows.append(
-            TransitionRow(state, symbol, fields[0], fields[1], fields[2], label, target, action, lineno)
+            TransitionRow(state, symbol, anc, has_left, has_right, label, target, action, lineno)
         )
+        mentioned.add(state)
+        mentioned.add(target)
 
-    mentioned = {start} | {row.state for row in rows} | {row.target for row in rows}
     for state in accepting:
         if state not in mentioned:
             problems.append(
@@ -290,7 +290,7 @@ def parse_machine(text: str, name: str = "machine") -> Machine:
                 )
             )
     for row in rows:
-        if not expand_rows([row], tree_symbols):
+        if not row_matches_a_node(row, tree_symbols):
             problems.append(
                 Diagnostic(
                     row.origin,

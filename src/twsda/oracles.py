@@ -112,12 +112,26 @@ def oracle_fib() -> LanguageOracle:
     return LanguageOracle("fib", ("a",), member, viable_prefix=lambda w: True)
 
 
+def _cube_root(n: int) -> int:
+    """The integer cube root: the largest k with k³ ≤ n, for 0 ≤ n.
+
+    The float estimate is off by at most one below 2⁶³, and the two loops
+    correct it in exact integers.
+    """
+    k = int(n ** (1 / 3))
+    while k * k * k > n:
+        k -= 1
+    while (k + 1) * (k + 1) * (k + 1) <= n:
+        k += 1
+    return k
+
+
 def oracle_cub() -> LanguageOracle:
     def member(w: str) -> bool:
         n = len(w)
-        k = round(n ** (1 / 3)) if n else 0
+        k = _cube_root(n)
         # the cube test is O(1); set(w) scans the word, so it goes last
-        return any(c * c * c == n for c in (k - 1, k, k + 1)) and set(w) <= {"a"}
+        return k * k * k == n and set(w) <= {"a"}
 
     return LanguageOracle("cub", ("a",), member, viable_prefix=lambda w: True)
 

@@ -237,6 +237,23 @@ class GammaTree:
         other.size = self.size
         return other
 
+    def compacted(self) -> "GammaTree":
+        """This tree if it has freed no id, else a copy of it without the
+        freed ids: its nodes numbered 0, 1, ... in depth-first order, left
+        before right, as `from_snapshot` numbers them."""
+        if not self.free:
+            return self
+        labels, lefts, rights = self.labels, self.lefts, self.rights
+        other = GammaTree()
+        stack = [(rights[ROOT], ROOT, "r"), (lefts[ROOT], ROOT, "l")]
+        while stack:
+            node, parent, side = stack.pop()
+            if node is not None:
+                child = other._add_child(parent, labels[node], side)
+                stack.append((rights[node], child, "r"))
+                stack.append((lefts[node], child, "l"))
+        return other
+
     def nodes(self) -> list[int]:
         """Every node of the tree, breadth first with left before right,
         so shorter paths come first."""

@@ -18,7 +18,7 @@ from twsda.combinators import (
 )
 from twsda.machine import END, TransitionRow, machine_from_rows, validate
 from twsda.machinefile import export_machine, parse_machine
-from twsda.simulate import Configuration, Verdict, run
+from twsda.simulate import Configuration, Verdict, final_tree, run
 from twsda.tree import ROOT_LABEL, STAY, UP
 
 
@@ -179,6 +179,23 @@ def test_left_quotient_mi_hat_after_separator():
     assert run(q, "ab$ba▶").accepted
     assert run(q, "$▶").accepted
     assert not run(q, "ab$ab▶").accepted
+
+
+def test_quotient_storage_keeps_no_freed_id():
+    """The prefix run pops 900 of 1 000 spine nodes and frees their ids; the
+    quotient starts on the same storage renumbered without them."""
+    machine = build_mi_hat()
+    v = "ab" * 500
+    prefix = "ab$¢" + v + "$" + v[::-1][:900]
+    quotient = left_quotient(machine, prefix)
+    tree = quotient.initial_tree
+    assert tree.free == [] and len(tree.labels) == tree.size == 101
+    assert tree.snapshot() == final_tree(machine, prefix).snapshot()
+    assert quotient.initial_pointer == "l" * 100
+    rest = v[::-1][900:]
+    assert run(quotient, rest + "▶").accepted
+    for w in ("", rest, rest + "▶", rest[:-1] + "▶", rest + "a▶", "a" + rest[1:] + "▶"):
+        assert run(quotient, w).accepted is run(machine, prefix + w).accepted, w
 
 
 def test_left_quotient_dead_prefix_raises():

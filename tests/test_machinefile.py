@@ -5,7 +5,14 @@ import pytest
 
 from twsda.analysis import machines_agree
 from twsda.builders import BUILTINS
-from twsda.machine import LAMBDA, TransitionKey, validate
+from twsda.machine import (
+    LAMBDA,
+    TransitionKey,
+    TransitionRow,
+    expand_rows,
+    row_matches_a_node,
+    validate,
+)
 from twsda.machinefile import (
     MachineFileError,
     export_machine,
@@ -14,7 +21,7 @@ from twsda.machinefile import (
     parse_word,
 )
 from twsda.simulate import Verdict, run
-from twsda.tree import ROOT_LABEL
+from twsda.tree import ROOT_LABEL, STAY
 
 BROKEN = Path(__file__).parent / "broken"
 SHIPPED = Path(__file__).parent.parent / "machines"
@@ -120,6 +127,122 @@ def test_broken_corpus_designated_diagnostics(filename, kind):
         parse_machine(text)
     kinds = {d.kind for d in err.value.diagnostics}
     assert kinds == {kind}
+
+
+# Every diagnostic of every broken file, and of two files with many faults,
+# in the order the parser reports them: (line, kind, message).
+PINNED_DIAGNOSTICS = {
+    "determinism-conflict.twm": [
+        (None, "determinism-conflict", "state 'q' at (-,-,-)/⊥ has both a λ rule and rules on ['a']"),
+    ],
+    "inconsistent-shape.twm": [
+        (8, "inconsistent-shape", "row matches no node: the root is exactly the ROOT-labeled node"),
+    ],
+    "lambda-in-realtime.twm": [
+        (None, "real-time-violation", "λ rule ('q', 'λ', '-', '-', '-', '⊥') in a machine flagged realtime"),
+    ],
+    "pointer-violation.twm": [],
+    "pop-in-nonerasing.twm": [
+        (None, "non-erasing-violation", "pop rule ('q', 'a', 'l', '-', '-', 'x') in a machine flagged nonerasing"),
+    ],
+    "specificity-clash.twm": [
+        (9, "specificity-conflict",
+         "rows [q a (l,*,-) x -> one stay (line 8)] and [q a (*,-,-) x -> two stay (line 9)] "
+         "both match ('q', 'a', 'l', '-', '-', 'x') with equal specificity but different outcomes"),
+    ],
+    "unknown-state.twm": [
+        (5, "unknown-state", "accepting state 'ghost' appears in no transition"),
+    ],
+    "unknown-symbol.twm": [
+        (8, "unknown-symbol", "input symbol 'z' not in alphabet"),
+    ],
+}
+
+MANY_LINE_FAULTS = """alphabet: a b cent
+tree-symbols: x dot
+start: q
+accept: q ghost
+realtime:   true
+nonerasing: true
+trans q a (-,-,-) ROOT -> q push dot l
+trans q z (-,-,-) ROOT -> q stay
+trans q b (-,-) ROOT -> q stay
+trans q b (l,-,-) w -> q stay
+trans q cent (l,-,-) x -> q push w r
+trans q cent (l,-,-) x -> q jump
+trans q a (-,*,*) x -> q stay
+trans q ¢ (r,*,*) ROOT -> p up
+trans q b (l,+,+) * -> p
+"""
+
+MANY_TABLE_FAULTS = """alphabet: a b
+tree-symbols: x
+start: q
+accept: q
+realtime: true
+nonerasing: true
+trans q lambda (-,-,-) ROOT -> q stay
+trans q a (-,-,-) ROOT -> p push x l
+trans p a (l,-,-) x -> q pop
+trans p lambda (l,-,-) x -> q up
+trans q b (-,*,*) ROOT -> q stay
+"""
+
+PINNED_MANY = {
+    "line faults": (MANY_LINE_FAULTS, [
+        (8, "unknown-symbol", "input symbol 'z' not in alphabet"),
+        (9, "syntax", "bad node type '(-,-)'"),
+        (10, "unknown-symbol", "tree symbol 'w' not declared"),
+        (11, "unknown-symbol", "push of undeclared tree symbol 'w'"),
+        (12, "syntax", "bad action 'jump'"),
+        (15, "syntax",
+         "expected: trans <state> <in> (<anc>,<hl>,<hr>) <label> -> <state> <action>"),
+        (4, "unknown-state", "accepting state 'ghost' appears in no transition"),
+        (13, "inconsistent-shape", "row matches no node: the root is exactly the ROOT-labeled node"),
+        (14, "inconsistent-shape", "row matches no node: the root is exactly the ROOT-labeled node"),
+    ]),
+    "table faults": (MANY_TABLE_FAULTS, [
+        (None, "non-erasing-violation", "pop rule ('p', 'a', 'l', '-', '-', 'x') in a machine flagged nonerasing"),
+        (None, "real-time-violation", "λ rule ('p', 'λ', 'l', '-', '-', 'x') in a machine flagged realtime"),
+        (None, "real-time-violation", "λ rule ('q', 'λ', '-', '-', '-', '⊥') in a machine flagged realtime"),
+        (None, "determinism-conflict", "state 'p' at (l,-,-)/x has both a λ rule and rules on ['a']"),
+        (None, "determinism-conflict", "state 'q' at (-,-,-)/⊥ has both a λ rule and rules on ['a', 'b']"),
+    ]),
+}
+
+
+def diagnostics_of(text: str) -> list[tuple]:
+    try:
+        parse_machine(text)
+    except MachineFileError as err:
+        return [(d.line, d.kind, d.message) for d in err.diagnostics]
+    return []
+
+
+def test_broken_corpus_diagnostics_are_pinned():
+    assert sorted(path.name for path in BROKEN.glob("*.twm")) == sorted(PINNED_DIAGNOSTICS)
+    for filename, pinned in PINNED_DIAGNOSTICS.items():
+        assert diagnostics_of((BROKEN / filename).read_text(encoding="utf-8")) == pinned, filename
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_MANY))
+def test_many_faults_are_listed_in_a_pinned_order(case):
+    text, pinned = PINNED_MANY[case]
+    assert diagnostics_of(text) == pinned
+
+
+@pytest.mark.parametrize("tree_alphabet", [(), ("x",), ("x", "y"), (ROOT_LABEL,)])
+def test_row_shape_test_agrees_with_expansion(tree_alphabet):
+    """`row_matches_a_node` says whether a row expands to any key, for every
+    ancestry, flag and label pattern, the labels including undeclared ones."""
+    for anc in ("-", "l", "r", "*"):
+        for hl in ("-", "+", "*"):
+            for hr in ("-", "+", "*"):
+                for label in ("*", ROOT_LABEL, "x", "z"):
+                    row = TransitionRow("q", "a", anc, hl, hr, label, "q", STAY)
+                    assert row_matches_a_node(row, tree_alphabet) == bool(
+                        expand_rows([row], tree_alphabet)
+                    ), (anc, hl, hr, label)
 
 
 def test_broken_corpus_pointer_violation_at_run_time():

@@ -1,5 +1,6 @@
 """Witness-language predicates, homomorphisms, and viability soundness."""
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -334,6 +335,31 @@ def test_cub_membership_matches_the_cubes():
     member = ORACLES["cub"]().membership
     for n in range(30_001):
         assert member("a" * n) == (n in cubes), n
+
+
+class _UnaryWord:
+    """n copies of "a", never built: only the length and the letters."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __iter__(self):
+        return iter("a")
+
+
+def test_cub_membership_is_exact_up_to_the_longest_word():
+    """k³ − 1, k³ and k³ + 1 for k ≥ 2 near 2²¹ and sampled below it:
+    (2²¹ − 1)³ + 1 is the largest such length below sys.maxsize.  Every
+    length to 30 000 is checked above."""
+    member = ORACLES["cub"]().membership
+    ks = [*range(2, 200), *range(2**21 - 200, 2**21), *random.Random(18).sample(range(2, 2**21), 600)]
+    for k in ks:
+        cube = k * k * k
+        assert member(_UnaryWord(cube)), k
+        assert not member(_UnaryWord(cube - 1)) and not member(_UnaryWord(cube + 1)), k
 
 
 def test_fib_membership_keeps_no_state_per_length():

@@ -222,6 +222,24 @@ def test_clone_of_quotient_initial_trees(name):
     assert_clone_matches(machine.initial_tree)
 
 
+def test_compacted_drops_freed_ids_only_when_there_are_some():
+    tree = GammaTree()
+    a = tree._add_child(ROOT, "x", "l")
+    b = tree._add_child(a, "y", "r")
+    c = tree._add_child(ROOT, "z", "r")
+    tree._add_child(c, "x", "l")
+    assert tree.compacted() is tree
+    for node in (b, a):  # freed as a run frees popped leaves
+        tree._remove_leaf(node)
+        tree.free.append(node)
+    tree._add_child(tree.node_at("rl"), "y", "l")  # takes a's id back
+    packed = tree.compacted()
+    packed.check_invariants()
+    assert packed.free == [] and len(packed.labels) == packed.size == tree.size == 4
+    assert packed.snapshot() == tree.snapshot() == "(⊥ . (z (x (y . .) .) .))"
+    assert [packed.node_at(path) for path in ("", "r", "rl", "rll")] == [0, 1, 2, 3]
+
+
 @given(st.lists(st.sampled_from(["u", "s", "dl", "dr", "pop", "pl", "pr"]), max_size=60))
 def test_random_walk_keeps_invariants(moves):
     """Legal actions keep the tree prefix-closed with the root in place;
