@@ -8,13 +8,12 @@ from .machine import (
     END,
     Machine,
     TransitionKey,
+    _catch_all_table,
     _legal,
-    _make_keys,
-    _node_shapes,
     validate,
 )
 from .simulate import Verdict, _run
-from .tree import ROOT_LABEL, STAY
+from .tree import STAY
 
 
 class NotRealTime(ValueError):
@@ -69,22 +68,16 @@ def complement(machine: Machine) -> Machine:
     undefined lookup, and every rule whose action is illegal at its own
     key's shape (a run that aborts there rejects), into a sink state that
     consumes the rest of the input, and then to flip which states accept.
-    The sink layer is the table that all-wildcard rows to the sink would
-    expand to, key for key and in the same order, made without expanding.
+    The sink layer is the table that one all-wildcard row to the sink per
+    state and symbol expands to.
     """
     if not machine.real_time:
         raise NotRealTime("complement is defined for real-time machines")
     sink = "sink"
     while sink in machine.states:
         sink += "+"
-    shapes = _node_shapes("*", "*", "*", "*", (*machine.tree_alphabet, ROOT_LABEL))
-    transitions = dict.fromkeys(
-        [
-            key
-            for state in machine.states + (sink,)
-            for sym in machine.input_alphabet + (END,)
-            for key in _make_keys(state, sym, shapes)
-        ],
+    transitions = _catch_all_table(
+        machine.states + (sink,), machine.input_alphabet + (END,), machine.tree_alphabet,
         (sink, STAY),
     )
     transitions.update(

@@ -46,7 +46,7 @@ class TransitionRow:
 
     @property
     def specificity(self) -> int:
-        return 4 - (self.ancestry, self.has_left, self.has_right, self.label).count("*")
+        return sum(f != "*" for f in (self.ancestry, self.has_left, self.has_right, self.label))
 
     def describe(self) -> str:
         where = f" (line {self.origin})" if self.origin is not None else ""
@@ -91,17 +91,25 @@ def _node_shapes(
     ]
 
 
+# Makes a key without the Python-level `TransitionKey.__new__`:
+# `_new_tuple(TransitionKey, fields)` equals `TransitionKey(*fields)`.
 _new_tuple = tuple.__new__
 
 
-def _make_keys(state: str, symbol: str, shapes: list[tuple]) -> list[TransitionKey]:
-    """The keys of `state` reading `symbol` at each of `_node_shapes`' tails.
-
-    They are made by `tuple.__new__`, which gives the key that
-    `TransitionKey(...)` does without its Python-level `__new__`.
-    """
-    head = (state, symbol)
-    return [_new_tuple(TransitionKey, head + shape) for shape in shapes]
+def _catch_all_table(states, symbols, tree_alphabet, outcome: tuple) -> dict:
+    """The table that one all-'*' row per state and symbol, each with the
+    same `outcome`, expands to: the keys `expand_rows` would make, in its
+    order, with nothing to settle, since no two of the rows overlap."""
+    shapes = _node_shapes("*", "*", "*", "*", (*tree_alphabet, ROOT_LABEL))
+    return dict.fromkeys(
+        [
+            _new_tuple(TransitionKey, (state, symbol) + shape)
+            for state in states
+            for symbol in symbols
+            for shape in shapes
+        ],
+        outcome,
+    )
 
 
 def row_matches_a_node(row: TransitionRow, tree_alphabet: Iterable[str]) -> bool:
@@ -134,7 +142,7 @@ def expand_rows(rows: Iterable[TransitionRow], tree_alphabet: Iterable[str]):
     shapes worked out once per distinct wildcard pattern.  Of several
     conflicts the least key is reported.
     """
-    labels = (*tree_alphabet, ROOT_LABEL)
+    labels = tuple(tree_alphabet) + (ROOT_LABEL,)
     table: dict[TransitionKey, tuple[str, tuple]] = {}
     chosen: dict[TransitionKey, tuple[int, TransitionRow]] = {}  # key -> (specificity, row)
     conflicts: dict[TransitionKey, tuple[TransitionRow, TransitionRow]] = {}

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from twsda.analysis import fibonacci
 from twsda.oracles import (
     ORACLES,
+    _cube_root,
     lh_class_sample,
     oracle_lh,
     oracle_lh_tilde,
@@ -351,7 +352,8 @@ class _UnaryWord:
 
 
 def test_cub_membership_is_exact_up_to_the_longest_word():
-    """k³ − 1, k³ and k³ + 1 for k ≥ 2 near 2²¹ and sampled below it:
+    """Membership and the integer cube root at k³ − 1, k³ and k³ + 1 for
+    k ≥ 2 near 2²¹ and sampled below it:
     (2²¹ − 1)³ + 1 is the largest such length below sys.maxsize.  Every
     length to 30 000 is checked above."""
     member = ORACLES["cub"]().membership
@@ -360,6 +362,7 @@ def test_cub_membership_is_exact_up_to_the_longest_word():
         cube = k * k * k
         assert member(_UnaryWord(cube)), k
         assert not member(_UnaryWord(cube - 1)) and not member(_UnaryWord(cube + 1)), k
+        assert (_cube_root(cube - 1), _cube_root(cube), _cube_root(cube + 1)) == (k - 1, k, k)
 
 
 def test_fib_membership_keeps_no_state_per_length():
