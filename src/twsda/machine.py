@@ -323,8 +323,13 @@ def machine_from_rows(
     initial_tree: GammaTree | None = None,
     initial_pointer: str = "",
 ) -> Machine:
-    """Build a Machine, collecting states in first-appearance order."""
+    """Build a Machine, collecting states in first-appearance order.
+
+    Each iterable argument is read once, so iterators are fine.
+    """
     rows = list(rows)
+    tree_alphabet = tuple(tree_alphabet)
+    accepting = tuple(accepting)
     states = {start: None}  # a dict keeps first appearances in order
     for row in rows:
         states[row.state] = states[row.target] = None
@@ -333,7 +338,7 @@ def machine_from_rows(
         name=name,
         states=tuple(states),
         input_alphabet=tuple(input_alphabet),
-        tree_alphabet=tuple(tree_alphabet),
+        tree_alphabet=tree_alphabet,
         transitions=expand_rows(rows, tree_alphabet),
         start=start,
         accepting=frozenset(accepting),

@@ -141,7 +141,17 @@ def _format_action(action: tuple) -> str:
 def parse_machine(text: str, name: str = "machine") -> Machine:
     """Parse a machine file; raises MachineFileError with every problem found.
 
-    The returned machine always passes `validate`.
+    Problems come in a fixed order.  Unrecognized, duplicate and missing
+    directives stop the parse.  Otherwise the declarations, each transition
+    line in file order, the accepting states that appear in no transition,
+    and the rows whose shape matches no node (`row_matches_a_node`, decided
+    without expanding) are all reported.  Only a file free of those is
+    expanded, where an equal-specificity conflict is reported at the
+    second row's line, and then validated; `validate`'s violations carry no
+    line.  The returned machine always passes `validate`.
+
+    Each line is split once, and its tokens are resolved through
+    dictionaries made once per call from the declared symbols.
     """
     problems: list[Diagnostic] = []
     directives: dict[str, tuple[int, str]] = {}

@@ -113,6 +113,15 @@ def test_shadowed_conflicts_are_decided_by_the_more_specific_row():
         expand_rows(conflicting, ("x",))
 
 
+def test_machine_from_rows_reads_each_iterable_once():
+    rows = [row("q", "a", "*", "*", "*", "*", "p"), row("p", "a", "l", "*", "*", "x", "q", UP)]
+    built = machine_from_rows("m", "a", ("x",), "q", ["p"], rows, True, True)
+    once = machine_from_rows("m", iter("a"), iter("x"), "q", iter("p"), iter(rows), True, True)
+    for m in (built, once):
+        assert len(m.transitions) == 12 + 4 and m.accepting == {"p"} and m.states == ("q", "p")
+    assert once.transitions == built.transitions and once.tree_alphabet == ("x",)
+
+
 def simple_machine(rows, real_time=True, non_erasing=True, **kw):
     return machine_from_rows(
         "test", ("a",), ("x",), "q", ["q"], rows,
