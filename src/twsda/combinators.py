@@ -8,8 +8,9 @@ from .machine import (
     END,
     Machine,
     TransitionKey,
-    _catch_all_table,
+    TransitionRow,
     _legal,
+    expand_rows,
     validate,
 )
 from .simulate import Verdict, _run
@@ -68,18 +69,18 @@ def complement(machine: Machine) -> Machine:
     undefined lookup, and every rule whose action is illegal at its own
     key's shape (a run that aborts there rejects), into a sink state that
     consumes the rest of the input, and then to flip which states accept.
-    The sink layer is the table that one all-wildcard row to the sink per
-    state and symbol expands to.
     """
     if not machine.real_time:
         raise NotRealTime("complement is defined for real-time machines")
     sink = "sink"
     while sink in machine.states:
         sink += "+"
-    transitions = _catch_all_table(
-        machine.states + (sink,), machine.input_alphabet + (END,), machine.tree_alphabet,
-        (sink, STAY),
-    )
+    to_sink = [
+        TransitionRow(state, sym, "*", "*", "*", "*", sink, STAY)
+        for state in machine.states + (sink,)
+        for sym in machine.input_alphabet + (END,)
+    ]
+    transitions = expand_rows(to_sink, machine.tree_alphabet)
     transitions.update(
         (key, rhs) for key, rhs in machine.transitions.items() if _legal(key, rhs[1])
     )
@@ -164,10 +165,7 @@ def left_quotient(machine: Machine, prefix: Sequence[str], budget=None) -> Machi
             f"{pos} of {len(prefix)} prefix symbols"
         )
 
-    if isinstance(prefix, str):
-        shown = prefix
-    else:
-        shown = "".join(prefix) if all(len(s) == 1 for s in prefix) else "|".join(prefix)
+    shown = "".join(prefix) if all(len(s) == 1 for s in prefix) else "|".join(prefix)
     result = replace(
         machine,
         name=f"{machine.name}-after-{shown or 'λ'}",

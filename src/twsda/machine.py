@@ -46,7 +46,7 @@ class TransitionRow:
 
     @property
     def specificity(self) -> int:
-        return sum(f != "*" for f in (self.ancestry, self.has_left, self.has_right, self.label))
+        return 4 - (self.ancestry, self.has_left, self.has_right, self.label).count("*")
 
     def describe(self) -> str:
         where = f" (line {self.origin})" if self.origin is not None else ""
@@ -96,37 +96,6 @@ def _node_shapes(
 _new_tuple = tuple.__new__
 
 
-def _catch_all_table(states, symbols, tree_alphabet, outcome: tuple) -> dict:
-    """The table that one all-'*' row per state and symbol, each with the
-    same `outcome`, expands to: the keys `expand_rows` would make, in its
-    order, with nothing to settle, since no two of the rows overlap."""
-    shapes = _node_shapes("*", "*", "*", "*", (*tree_alphabet, ROOT_LABEL))
-    return dict.fromkeys(
-        [
-            _new_tuple(TransitionKey, (state, symbol) + shape)
-            for state in states
-            for symbol in symbols
-            for shape in shapes
-        ],
-        outcome,
-    )
-
-
-def row_matches_a_node(row: TransitionRow, tree_alphabet: Iterable[str]) -> bool:
-    """Whether `expand_rows([row], tree_alphabet)` makes any key, decided
-    without expanding.
-
-    The flags always have a concrete value, so only the ancestry and the
-    label can rule each other out: ancestry '-' needs label ⊥, a child
-    needs any other label, and a '*' label on a child needs a tree symbol.
-    """
-    if row.ancestry == "*":
-        return True
-    if row.label == "*":
-        return row.ancestry == "-" or any(lab != ROOT_LABEL for lab in tree_alphabet)
-    return (row.ancestry == "-") == (row.label == ROOT_LABEL)
-
-
 def expand_rows(rows: Iterable[TransitionRow], tree_alphabet: Iterable[str]):
     """Expand wildcard rows into a concrete transition table.
 
@@ -154,7 +123,7 @@ def expand_rows(rows: Iterable[TransitionRow], tree_alphabet: Iterable[str]):
             shapes = shapes_of[pattern] = _node_shapes(*pattern, labels)
         head = (row.state, row.symbol)
         rhs = (row.target, row.action)
-        rank = (4 - pattern.count("*"), row)  # (row.specificity, row), one object per row
+        rank = (row.specificity, row)  # one object per row
         for shape in shapes:
             key = _new_tuple(TransitionKey, head + shape)
             prev = chosen.setdefault(key, rank)

@@ -34,8 +34,8 @@ from .machine import (
     Machine,
     SpecificityConflict,
     TransitionRow,
+    _node_shapes,
     machine_from_rows,
-    row_matches_a_node,
     validate,
 )
 from .tree import DOWN_L, DOWN_R, GammaTree, POP, ROOT_LABEL, STAY, UP
@@ -144,11 +144,11 @@ def parse_machine(text: str, name: str = "machine") -> Machine:
     Problems come in a fixed order.  Unrecognized, duplicate and missing
     directives stop the parse.  Otherwise the declarations, each transition
     line in file order, the accepting states that appear in no transition,
-    and the rows whose shape matches no node (`row_matches_a_node`, decided
-    without expanding) are all reported.  Only a file free of those is
-    expanded, where an equal-specificity conflict is reported at the
-    second row's line, and then validated; `validate`'s violations carry no
-    line.  The returned machine always passes `validate`.
+    and the rows whose shape matches no node (`_node_shapes` makes none
+    for the row's ancestry and label) are all reported.  Only a file free
+    of those is expanded, where an equal-specificity conflict is reported
+    at the second row's line, and then validated; `validate`'s violations
+    carry no line.  The returned machine always passes `validate`.
 
     Each line is split once, and its tokens are resolved through
     dictionaries made once per call from the declared symbols.
@@ -299,8 +299,14 @@ def parse_machine(text: str, name: str = "machine") -> Machine:
                     f"accepting state {state!r} appears in no transition",
                 )
             )
+    labels = (*tree_symbols, ROOT_LABEL)
+    matches: dict[tuple, bool] = {}  # (ancestry, label) -> whether some node has both
     for row in rows:
-        if not row_matches_a_node(row, tree_symbols):
+        where = (row.ancestry, row.label)
+        if where not in matches:
+            # the flags never rule a node out, so one concrete value stands for any
+            matches[where] = bool(_node_shapes(row.ancestry, "-", "-", row.label, labels))
+        if not matches[where]:
             problems.append(
                 Diagnostic(
                     row.origin,

@@ -5,14 +5,7 @@ import pytest
 
 from twsda.analysis import machines_agree
 from twsda.builders import BUILTINS
-from twsda.machine import (
-    LAMBDA,
-    TransitionKey,
-    TransitionRow,
-    expand_rows,
-    row_matches_a_node,
-    validate,
-)
+from twsda.machine import LAMBDA, TransitionKey, validate
 from twsda.machinefile import (
     MachineFileError,
     export_machine,
@@ -21,7 +14,7 @@ from twsda.machinefile import (
     parse_word,
 )
 from twsda.simulate import Verdict, run
-from twsda.tree import ROOT_LABEL, STAY
+from twsda.tree import ROOT_LABEL
 
 BROKEN = Path(__file__).parent / "broken"
 SHIPPED = Path(__file__).parent.parent / "machines"
@@ -229,20 +222,6 @@ def test_broken_corpus_diagnostics_are_pinned():
 def test_many_faults_are_listed_in_a_pinned_order(case):
     text, pinned = PINNED_MANY[case]
     assert diagnostics_of(text) == pinned
-
-
-@pytest.mark.parametrize("tree_alphabet", [(), ("x",), ("x", "y"), (ROOT_LABEL,)])
-def test_row_shape_test_agrees_with_expansion(tree_alphabet):
-    """`row_matches_a_node` says whether a row expands to any key, for every
-    ancestry, flag and label pattern, the labels including undeclared ones."""
-    for anc in ("-", "l", "r", "*"):
-        for hl in ("-", "+", "*"):
-            for hr in ("-", "+", "*"):
-                for label in ("*", ROOT_LABEL, "x", "z"):
-                    row = TransitionRow("q", "a", anc, hl, hr, label, "q", STAY)
-                    assert row_matches_a_node(row, tree_alphabet) == bool(
-                        expand_rows([row], tree_alphabet)
-                    ), (anc, hl, hr, label)
 
 
 def test_broken_corpus_pointer_violation_at_run_time():

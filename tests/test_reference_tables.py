@@ -35,6 +35,7 @@ from twsda.machine import (
     machine_from_rows,
     validate,
 )
+from twsda.machinefile import MachineFileError, parse_machine
 from twsda.tree import POP, ROOT, ROOT_LABEL, STAY, GammaTree, push
 
 ANCESTRIES = ("-", "l", "r")
@@ -232,6 +233,31 @@ def test_builtin_complement_tables_match_the_reference(name):
     assert list(result.transitions.items()) == list(
         naive_complement_table(machine, "sink").items()
     )
+
+
+@pytest.mark.parametrize("tree_alphabet", [(), ("x", "y")])
+def test_parse_reports_exactly_the_rows_the_reference_expands_to_nothing(tree_alphabet):
+    """`parse_machine` reports a row's shape as inconsistent exactly when
+    the naive expansion of that row makes no key, for every ancestry, flag
+    and label pattern a file can spell."""
+    header = (
+        f"alphabet: a\ntree-symbols: {' '.join(tree_alphabet)}\n"
+        "start: q\naccept: q\nrealtime: true\nnonerasing: true\n"
+    )
+    spelled = [("*", "*"), (ROOT_LABEL, "ROOT"), *((sym, sym) for sym in tree_alphabet)]
+    for anc in ("-", "l", "r", "*"):
+        for hl in ("-", "+", "*"):
+            for hr in ("-", "+", "*"):
+                for label, token in spelled:
+                    text = header + f"trans q a ({anc},{hl},{hr}) {token} -> q stay\n"
+                    try:
+                        parse_machine(text)
+                        kinds = []
+                    except MachineFileError as exc:
+                        kinds = [d.kind for d in exc.diagnostics]
+                    row = TransitionRow("q", "a", anc, hl, hr, label, "q", STAY)
+                    want = [] if naive_expand_rows([row], tree_alphabet) else ["inconsistent-shape"]
+                    assert kinds == want, (anc, hl, hr, label)
 
 
 FAULTS = (
