@@ -36,6 +36,10 @@ BLOCK_IMAGE = {"0": "aa", "1": "ab", "2": "ba", "3": "bb"}
 PRIMED_IMAGE = {"0": "AA", "1": "AB", "2": "BA", "3": "BB"}
 UNPRIME = {"A": "a", "B": "b"}
 
+_NOT_BODY = str.maketrans("", "", "ab$")  # deletes what a body may hold
+_NOT_QUERY = str.maketrans("", "", "0123")  # deletes what a query may hold
+_QUERY_IMAGE = str.maketrans(BLOCK_IMAGE)
+
 
 @dataclass(frozen=True)
 class LanguageOracle:
@@ -149,25 +153,23 @@ def _parse_padded(body: str):
     padding.  None means no extension can repair the body.
     """
     xs = []
-    i = 0
-    n = len(body)
-    while i < n:
-        j = i
-        while j < n and body[j] in "ab":
-            j += 1
-        if j == i:
+    rest = body
+    while rest:
+        tail = rest.lstrip("ab")
+        k = len(rest) - len(tail)
+        if not k:
             return None  # $ where a letter run should start, or one $ too many
-        if j == n:
+        if not tail:
             return xs, False  # still writing letters; the block is not fixed yet
-        x = body[i:j]
+        x = rest[:k]
         for earlier in xs:
             if earlier != x and earlier.startswith(x):
                 return None  # a proper prefix of an earlier block
         xs.append(x)
-        i = j + len(x)
-        if body[j:i] != "$" * len(x):
+        rest = tail.lstrip("$")
+        if len(tail) - len(rest) != k:
             # a body cut off inside the padding can still be completed
-            return (xs, False) if i > n and body[j:] == "$" * (n - j) else None
+            return (xs, False) if not rest and len(tail) < k else None
     return xs, True
 
 
@@ -204,7 +206,7 @@ def oracle_lp_hat() -> LanguageOracle:
     def member(w: str) -> bool:
         body, _, tail = w.partition(CENT)
         z, mark, y = tail.partition(MARK1)
-        if not mark or any(c not in "ab$" for c in z):
+        if not mark or z.translate(_NOT_BODY):
             return False
         parsed = _parse_padded(body)
         return parsed is not None and parsed[1] and y in parsed[0]
@@ -218,7 +220,7 @@ def oracle_lp_hat() -> LanguageOracle:
             return True
         xs, complete = parsed
         z, mark, y = tail.partition(MARK1)
-        if not complete or not xs or any(c not in "ab$" for c in z):
+        if not complete or not xs or z.translate(_NOT_BODY):
             return False  # a query needs a finished body with a word in it
         return not mark or any(x.startswith(y) for x in xs)
 
@@ -228,34 +230,31 @@ def oracle_lp_hat() -> LanguageOracle:
 def oracle_mi_hat() -> LanguageOracle:
     """Membership for x ¢ v $ v^R ▶ with x over {a,b,$} and v over {a,b}."""
 
+    # v lies before the first $ after ¢, so it holds no $, and a translate
+    # that deletes a, b and $ tests that it is over {a, b}
     def member(w: str) -> bool:
-        if not w.endswith(MARK2) or w.count(MARK2) != 1 or w.count(CENT) != 1:
+        if w[-1:] != MARK2:
             return False
-        x, _, tail = w.partition(CENT)
-        if any(c not in "ab$" for c in x):
+        x, cent, tail = w[:-1].partition(CENT)
+        if not cent or x.translate(_NOT_BODY):
             return False
-        tail = tail[:-1]
-        i = 0
-        while i < len(tail) and tail[i] in "ab":
-            i += 1
-        v, rest = tail[:i], tail[i:]
-        return rest == "$" + v[::-1]
+        v, dollar, vr = tail.partition("$")
+        return bool(dollar) and not v.translate(_NOT_BODY) and vr == v[::-1]
 
     def viable(w: str) -> bool:
-        if w.count(CENT) == 0:
-            return MARK2 not in w and all(c in "ab$" for c in w)
-        x, _, tail = w.partition(CENT)
-        if any(c not in "ab$" for c in x) or CENT in tail:
+        x, cent, tail = w.partition(CENT)
+        if x.translate(_NOT_BODY):
             return False
-        if MARK2 in tail:
-            return member(w)  # nothing may follow the closing marker
-        i = 0
-        while i < len(tail) and tail[i] in "ab":
-            i += 1
-        v, rest = tail[:i], tail[i:]
-        if not rest:
+        if not cent:
+            return True
+        v, dollar, vr = tail.partition("$")
+        if v.translate(_NOT_BODY):
+            return False
+        if not dollar:
             return True  # still reading v
-        return rest[0] == "$" and v[::-1].startswith(rest[1:])
+        if vr[-1:] == MARK2:  # nothing may follow the closing marker
+            return vr[:-1] == v[::-1]
+        return v[::-1].startswith(vr)
 
     return LanguageOracle("mi-hat", ("a", "b", "$", CENT, MARK2), member, viable)
 
@@ -286,11 +285,6 @@ def oracle_lh() -> LanguageOracle:
     return LanguageOracle(
         "lh", ("a", "b", "$", MARK, "0", "1", "2", "3"), member, stepper=_LhStepper
     )
-
-
-_NOT_BODY = str.maketrans("", "", "ab$")  # deletes what a body may hold
-_NOT_QUERY = str.maketrans("", "", "0123")  # deletes what a query may hold
-_QUERY_IMAGE = str.maketrans(BLOCK_IMAGE)
 
 
 class _LhStepper:
@@ -375,8 +369,11 @@ def oracle_union_witness() -> LanguageOracle:
     def member(w: str) -> bool:
         return lp_hat.membership(w) or mi_hat.membership(w)
 
+    def viable(w: str) -> bool:
+        return lp_hat.viable_prefix(w) or mi_hat.viable_prefix(w)
+
     return LanguageOracle(
-        "union-witness", ("a", "b", "$", CENT, MARK1, MARK2), member
+        "union-witness", ("a", "b", "$", CENT, MARK1, MARK2), member, viable
     )
 
 

@@ -10,11 +10,13 @@ machine's step program (`Machine._program`) settles that lookup order,
 and the legality of each action, once per transition key, so a step here
 is one indexed lookup.  This is the one module that reads the program:
 `Configuration` steps and takes steps back, `_run` runs a word, and
-`_prefix_dfs` walks every word up to a length from a configuration.
-`_run` has two loops: a real-time machine makes one step per symbol and
-one for the endmarker, in a loop over those symbols with no position,
-λ or budget test per step; a machine with λ moves runs in the general
-loop, which has them.  Traced runs take the same loops, and their
+`_prefix_dfs` walks every word up to a length from a configuration; on a
+real-time machine it steps onto no word of the last length, but reads
+each one's verdict off the entry its step would take, with the tree at
+the parent word.  `_run` has two loops: a real-time machine makes one
+step per symbol and one for the endmarker, in a loop over those symbols
+with no position, λ or budget test per step; a machine with λ moves runs
+in the general loop, which has them.  Traced runs take the same loops, and their
 records keep the pointer's node rather than its path.
 
 Nodes are ids into the storage tree's lists (`tree.GammaTree`), and the
@@ -451,9 +453,9 @@ def _prefix_dfs(config: Configuration, symbols, max_len, budget, visit):
     for the endmarker, so that it rejects every extension.
     `budget` caps the number of words visited (None for no cap); the first
     word past it raises BudgetExceeded.  The walk leaves `config` as it
-    found it, except when a clash raises DeterminismError: `config` then
-    stands where the clash was met, with the walk's steps to it still on
-    its undo list.
+    found it, except when it raises: `config` then stands where the walk
+    was, with its steps there still on the undo list (a clash raises
+    DeterminismError where it was met).
 
     The walk steps on the machine's step program inline, as `_run` does,
     and keeps one undo record `(state, rows, node, op)` per step on
@@ -463,19 +465,26 @@ def _prefix_dfs(config: Configuration, symbols, max_len, budget, visit):
     A real-time machine makes one step per symbol, and a word's verdict is
     one END lookup and a step count below the run budget; a word whose
     count has reached the budget is dead, as no extension has a step left
-    either, so no step tests the budget.  A machine with λ moves also makes the λ steps
-    before each symbol, and a step begun with the run budget spent leaves
-    the word dead.  For its verdict the same loop runs the END and λ steps
-    to the halt, and takes them back once `visit` has returned.  On such a
-    machine each symbol's steps, and each verdict's, open with a `_MARK`
-    record.
+    either, so no step tests the budget.  At the last level, the children
+    of a live word of length `max_len - 1`, the walk makes no step: it
+    reads each child's entry, then the END entry at the node and shape
+    that step would leave (the node moved to, the pushed child, or the
+    parent less the popped child), with the run budget counting the one
+    step more.  During those visits the tree stands at the parent word,
+    and nothing is recorded or taken back.  A machine with λ moves also
+    makes the λ steps before each symbol, and a step begun with the run
+    budget spent leaves the word dead.  For its verdict the same loop runs
+    the END and λ steps to the halt, and takes them back once `visit` has
+    returned.  On such a machine each symbol's steps, and each verdict's,
+    open with a `_MARK` record.
 
     The current word is one `str` whose first `depth` characters are the
     prefix.  Taking a symbol back only lowers `depth`, so the symbol taken
     back is still `word[depth]`, and the next one to try is its successor
     in `symbols`.  The next symbol is appended in place when nothing was
     taken back since; otherwise the prefix is cut once, as `stem`, and
-    every later sibling is `stem + sym`.  So a visit costs O(1) amortized
+    every later sibling is `stem + sym`; a child read off the program at
+    the last level is `word + sym`.  So a visit costs O(1) amortized
     on a deep path (a unary walk never copies the word), and one
     concatenation no longer than the word on a bushy tree.
     """
@@ -485,6 +494,7 @@ def _prefix_dfs(config: Configuration, symbols, max_len, budget, visit):
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     budget = math.inf if budget is None else budget
+    last = max_len - 1  # the depth whose children a real-time walk reads off
     first = symbols[0] if symbols else None
     successor = dict(zip(symbols, symbols[1:] + [None]))
     tree, node, state, rows = config.tree, config.node, config.state, config._rows
@@ -580,8 +590,38 @@ def _prefix_dfs(config: Configuration, symbols, max_len, budget, visit):
                 sym = END
                 continue
         if visit(word, accepted, dead or spent) and depth < max_len:
-            sym = first
-            stem = None
+            if depth < last or dead or not real_time:
+                sym = first
+                stem = None
+            else:
+                # The children of a live real-time word at the last level:
+                # each one's verdict is the END entry at the node and shape
+                # its step would leave, read with the tree left as it is.
+                label, shape = labels[node], shapes[node]
+                spent = len(undo) + 1 >= run_budget
+                for sym in symbols:
+                    entry = rows[sym][label][shape]
+                    if entry is None or entry[1] >= _ABORT:
+                        accepted, stopped = False, 1
+                    else:
+                        _, op, pushed, _, action, next_rows = entry
+                        if op < _OP_PUSH:
+                            at = links[op][node] if op else node
+                            entry = next_rows[END][labels[at]][shapes[at]]
+                        elif op == _OP_PUSH:
+                            entry = next_rows[END][pushed][4 if action[2] == "l" else 8]
+                        else:  # _OP_POP: the parent, less the child's bit
+                            at = parents[node]
+                            entry = next_rows[END][labels[at]][
+                                shapes[at] - (2 if shape == 4 else 1)
+                            ]
+                        accepted = entry is not None and entry[0] in accepting and not spent
+                        stopped = spent
+                    visited += 1
+                    if visited > budget:
+                        raise BudgetExceeded(f"visited more than {budget} prefixes")
+                    visit(word + sym, accepted, stopped)
+                sym = None
         else:
             sym = None
         # Take back the verdict's steps, then every symbol whose subtree is

@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from twsda.analysis import (
     catalan,
@@ -21,11 +21,19 @@ from twsda.analysis import (
     is_fibonacci_tree,
     machines_agree,
 )
-from test_reference_semantics import naive_run
+from test_machinefile import _states
+from test_reference_semantics import _busy_rows, naive_run
 from test_tree import complete_tree
 from twsda.builders import BUILTINS, build_expo, build_fib, build_trie_p
 from twsda.combinators import complement, left_quotient
-from twsda.machine import END, LAMBDA, TransitionRow, machine_from_rows
+from twsda.machine import (
+    END,
+    LAMBDA,
+    SpecificityConflict,
+    TransitionRow,
+    machine_from_rows,
+    validate,
+)
 from twsda.oracles import (
     ORACLES,
     LanguageOracle,
@@ -42,7 +50,7 @@ from twsda.simulate import (
     _prefix_dfs,
     run,
 )
-from twsda.tree import ROOT, ROOT_LABEL, STAY, GammaTree, push
+from twsda.tree import DOWN_L, DOWN_R, POP, ROOT, ROOT_LABEL, STAY, UP, GammaTree, push
 
 
 def test_fibonacci_prefix():
@@ -437,9 +445,16 @@ def test_prefix_dfs_visits_in_depth_first_order(symbols, max_len, lam, data):
     visited: list[str] = []
     config = None
 
+    def stands_at(word):
+        """The word the tree spells while `word` is visited: a real-time
+        walk reads the last level off the step program, with the tree
+        still at the parent."""
+        return word[:-1] if word and len(word) == max_len and not lam else word
+
     def visit(word, accepted, dead):
-        assert len(word) == config.tree.size - 1  # pushes minus pops
-        assert spine(config.tree) == word  # no stale tail after a backtrack
+        at = stands_at(word)
+        assert config.tree.size == len(at) + 1  # pushes minus pops
+        assert spine(config.tree) == at  # no stale tail after a backtrack
         assert accepted and not dead
         visited.append(word)
         return word not in stop
@@ -452,17 +467,111 @@ def test_prefix_dfs_visits_in_depth_first_order(symbols, max_len, lam, data):
 
     walk(None)
     assert visited == expected
-    assert config.tree.size == 1  # every step was taken back
+    fresh = Configuration(machine, 2 * max_len + 1)
+    assert (config.state, config.node, config.dead, config._undo) == (
+        fresh.state, fresh.node, fresh.dead, fresh._undo
+    )
+    assert config.tree.snapshot() == fresh.tree.snapshot()
+    assert len(config.tree.labels) == len(fresh.tree.labels)  # every id dropped again
     config.tree.check_invariants()
 
     budget = data.draw(st.integers(0, len(expected) + 1))
     if budget < len(expected):
         with pytest.raises(BudgetExceeded):
             walk(budget)
-        assert spine(config.tree) == expected[budget]  # pushed, then refused
+        # the refused word was pushed, or read off the program at the last level
+        assert spine(config.tree) == stands_at(expected[budget])
     else:
         walk(budget)
     assert visited == expected[:budget]
+
+
+_SHAPES = st.tuples(st.sampled_from("-lr"), st.sampled_from("-+"), st.sampled_from("-+"))
+
+
+@st.composite
+def _shape_sensitive_rows(draw):
+    """`_busy_rows` plus rows for concrete node shapes: symbol rows whose
+    actions are legal there, so that walks live on through moves, pushes
+    and pops, and endmarker rows, so that a verdict depends on the shape a
+    step leaves behind."""
+    rows = draw(_busy_rows())
+    keys = draw(st.sets(st.tuples(_states, st.sampled_from("ab¢⊳"), _SHAPES), max_size=24))
+    for state, sym, (anc, has_left, has_right) in sorted(keys):
+        legal = [STAY]
+        legal += [push("x", "l")] if has_left == "-" else [DOWN_L]
+        legal += [push("y", "r")] if has_right == "-" else [DOWN_R]
+        if anc != "-":
+            legal += [UP, POP] if has_left == has_right == "-" else [UP]
+        rows.append(
+            TransitionRow(
+                state, sym, anc, has_left, has_right, "*", draw(_states), draw(st.sampled_from(legal))
+            )
+        )
+    for state in ("q0", "q1", "loop", "final"):
+        for anc, has_left, has_right in sorted(draw(st.sets(_SHAPES, max_size=8))):
+            rows.append(
+                TransitionRow(
+                    state, END, anc, has_left, has_right, "*",
+                    draw(st.sampled_from(["q1", "final"])), STAY,
+                )
+            )
+    return rows
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_real_time_walks_match_the_reference_on_random_machines(data):
+    """From a configuration after a drawn prefix, on random real-time
+    machines and their complements, the walk's visits are the plain
+    recursive walk's words, each with `naive_run`'s verdict and with dead
+    exactly when the run stopped inside the word or has no step left for
+    the endmarker; a visit cap raises after the same visits."""
+    try:
+        machine = machine_from_rows(
+            "rand", ("a", "b", "¢", "⊳"), ("x", "y"), "q0", ["final"],
+            data.draw(_shape_sensitive_rows()),
+            real_time=True, non_erasing=False,
+        )
+    except SpecificityConflict:
+        assume(False)
+    assume(not validate(machine))
+    symbols = sorted(machine.input_alphabet)
+    max_len = 3
+    words = [
+        "".join(parts)
+        for length in range(max_len + 1)
+        for parts in itertools.product(symbols, repeat=length)
+    ]
+    prefix = data.draw(st.sampled_from(words[:21]))  # every word up to length 2
+    stop = data.draw(st.sets(st.sampled_from(words)))
+    for m in (machine, complement(machine)):
+        for run_budget in (None, 1, 2.5, 5):
+            limit = math.inf if run_budget is None else run_budget
+            expected = []
+            for u in _depth_first(symbols, max_len, stop):
+                w = prefix + u
+                stopped = naive_run(m, w, run_budget, endmarker=False).verdict != "consumed"
+                accepted = naive_run(m, w, run_budget).verdict == "accepted"
+                expected.append((u, accepted, stopped or len(w) >= limit))
+            config = Configuration(m, run_budget)
+            for sym in prefix:
+                config.push(sym)
+            visits = []
+
+            def visit(word, accepted, dead):
+                visits.append((word, accepted, bool(dead)))
+                return word not in stop
+
+            _prefix_dfs(config, symbols, max_len, None, visit)
+            assert visits == expected, (prefix, run_budget)
+            inside_last = [i for i, (u, _, _) in enumerate(expected) if len(u) == max_len]
+            if inside_last:
+                cap = data.draw(st.sampled_from(inside_last))
+                visits.clear()
+                with pytest.raises(BudgetExceeded):
+                    _prefix_dfs(config, symbols, max_len, cap, visit)
+                assert visits == expected[:cap]
 
 
 def ends_in_a(*, lam: bool):

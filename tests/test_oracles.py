@@ -209,7 +209,10 @@ def test_lh_class_sample_shape():
 
 @pytest.mark.parametrize(
     "name, member_len, word_len, ext_len",
-    [("lp", 9, 5, 4), ("lp-hat", 8, 5, 4), ("mi-hat", 8, 5, 4)],
+    [
+        ("lp", 9, 5, 4), ("lp-hat", 8, 5, 4), ("mi-hat", 8, 5, 4),
+        ("union-witness", 7, 4, 3),
+    ],
 )
 def test_viable_prefix_is_sound(name, member_len, word_len, ext_len):
     """Every prefix of every member is viable, and no short extension of a
