@@ -16,8 +16,8 @@ each one's verdict off the entry its step would take, with the tree at
 the parent word.  `_run` has two loops: a real-time machine makes one
 step per symbol and one for the endmarker, in a loop over those symbols
 with no position, λ or budget test per step; a machine with λ moves runs
-in the general loop, which has them.  Traced runs take the same loops, and their
-records keep the pointer's node rather than its path.
+in the general loop, which has them.  Traced runs take the same loops,
+and their records keep the pointer's node rather than its path.
 
 Nodes are ids into the storage tree's lists (`tree.GammaTree`), and the
 loops hold those lists in local variables.  A pointer move is one table
