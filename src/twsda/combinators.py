@@ -148,7 +148,10 @@ def left_quotient(machine: Machine, prefix: Sequence[str], budget=None) -> Machi
     belongs after the quotient word instead.  The reached configuration
     becomes the new machine's starting state and storage; the storage is
     renumbered first when the run freed ids, so that no run of the quotient
-    copies them (`GammaTree.compacted`).  Raises
+    copies them (`GammaTree.compacted`).  The quotient takes over the
+    machine's step program, which the prefix run has compiled, and is
+    named `<name>-after-<prefix>`: a `str` prefix as it is, a sequence's
+    symbols joined by `|`.  Raises
     PrefixKillsMachine when the machine halts or aborts before the prefix
     is consumed: every quotient word would be rejected anyway, and no
     single frozen configuration can express that.  Raises ValueError when
@@ -165,13 +168,12 @@ def left_quotient(machine: Machine, prefix: Sequence[str], budget=None) -> Machi
             f"{pos} of {len(prefix)} prefix symbols"
         )
 
-    shown = "".join(prefix) if all(len(s) == 1 for s in prefix) else "|".join(prefix)
-    result = replace(
-        machine,
-        name=f"{machine.name}-after-{shown or 'λ'}",
-        start=config.state,
-        initial_tree=config.tree.compacted(),
-        initial_pointer=config.tree.path(config.node),
+    shown = prefix if isinstance(prefix, str) else "|".join(prefix)
+    result = machine._resumed(
+        f"{machine.name}-after-{shown or 'λ'}",
+        config.state,
+        config.tree.compacted(),
+        config.tree.path(config.node),
     )
     assert not validate(result)
     return result

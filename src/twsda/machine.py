@@ -1,7 +1,7 @@
 """Machine descriptions: transition tables, wildcard rows, validation."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -167,6 +167,20 @@ class Machine:
     def _program(self) -> dict:
         """The step program; see `_compile`."""
         return _compile(self)
+
+    def _resumed(self, name: str, start: str, tree: GammaTree, pointer: str) -> Machine:
+        """This machine renamed, starting in `start` on `tree` at `pointer`,
+        a configuration one of its runs reached, with its step program.
+
+        The program is the one `_compile` would make for the copy: the
+        run's states are targets of this machine's rules, and its tree's
+        labels are pushed labels or labels of this machine's own tree.
+        """
+        resumed = replace(
+            self, name=name, start=start, initial_tree=tree, initial_pointer=pointer
+        )
+        vars(resumed)["_program"] = self._program  # where the cached_property keeps it
+        return resumed
 
 
 def _legal(key: TransitionKey, action: tuple) -> bool:

@@ -16,8 +16,10 @@ each one's verdict off the entry its step would take, with the tree at
 the parent word.  `_run` has two loops: a real-time machine makes one
 step per symbol and one for the endmarker, in a loop over those symbols
 with no position, λ or budget test per step; a machine with λ moves runs
-in the general loop, which has them.  Traced runs take the same loops,
-and their records keep the pointer's node rather than its path.
+in the general loop, which has them.  Traced runs take the same loops and
+append each step's program entry and the pointer's node after it to two
+lists; the run's `Trace` builds a `StepRecord` from those columns only
+when it is read, so a full read pays then for what the loops skip.
 
 Nodes are ids into the storage tree's lists (`tree.GammaTree`), and the
 loops hold those lists in local variables.  A pointer move is one table
@@ -33,8 +35,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import length_hint
-from typing import NamedTuple, Sequence
+from itertools import accumulate, chain, count, islice, repeat
+from operator import itemgetter, length_hint
+from typing import Iterator, NamedTuple, Sequence
 
 from .machine import (
     END,
@@ -72,7 +75,7 @@ class Verdict(Enum):
 
 
 class StepRecord(NamedTuple):
-    """One step of a traced run.
+    """One step of a traced run, as its `Trace` builds it on read.
 
     `node_after` is the id of the node the pointer stands on after the
     step, in `tree`, the run's own storage, and `pointer_after` its path,
@@ -95,13 +98,94 @@ class StepRecord(NamedTuple):
         return self.tree.path(self.node_after)
 
 
+# Node-count change by opcode, `_OP_STAY` to `_OP_POP`: a push adds a node,
+# a pop takes one away.
+_GROWTH = (0,) * _OP_PUSH + (1, -1)
+_TARGET, _CONSUMED, _ACTION, _OP = itemgetter(0), itemgetter(3), itemgetter(4), itemgetter(1)
+
+
+class Trace:
+    """The steps of a traced run: a read-only sequence of StepRecords.
+
+    A traced run keeps two columns, the step-program entry of each step
+    and the node the pointer stands on after it (`_run`), and the trace
+    builds each record from them when it is read.  Step i's `state_before`
+    is entry i-1's target (the start state for step 0), `consumed` and
+    `action` are entry i's, and `node_count_after` is the initial tree's
+    size plus one per push and less one per pop in entries 0..i.
+
+    Records are not kept, so each read builds them anew.  Iteration streams
+    them in order, about as dear per step as the traced run itself;
+    `trace[i]` adds up entries 0..i, and a slice builds the records up to
+    its end.  A trace equals the tuple of its records, or another trace
+    with equal records, and hashes as that tuple.
+    """
+
+    __slots__ = ("_start", "_size", "_tree", "_entries", "_nodes")
+
+    def __init__(self, start: str, size: int, tree: GammaTree, entries: list, nodes: list):
+        self._start, self._size, self._tree = start, size, tree
+        self._entries, self._nodes = entries, nodes
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def __iter__(self) -> Iterator[StepRecord]:
+        entries = self._entries
+        counts = accumulate(map(_GROWTH.__getitem__, map(_OP, entries)), initial=self._size)
+        next(counts)  # the initial size, before any step
+        return map(tuple.__new__, repeat(StepRecord), zip(
+            count(),
+            chain((self._start,), map(_TARGET, entries)),
+            map(_CONSUMED, entries),
+            map(_ACTION, entries),
+            self._nodes,
+            counts,
+            repeat(self._tree),
+        ))  # StepRecord(...) goes through a slower Python-level __new__
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            picked = range(len(self._nodes))[index]
+            if not picked:
+                return ()
+            low = min(picked)
+            return tuple(islice(self, low, max(picked) + 1))[picked[0] - low::picked.step]
+        node = self._nodes[index]  # raises IndexError past either end
+        if index < 0:
+            index += len(self._nodes)
+        entries = self._entries
+        growth = sum(map(_GROWTH.__getitem__, map(_OP, islice(entries, index + 1))))
+        return tuple.__new__(StepRecord, (
+            index,
+            entries[index - 1][0] if index else self._start,
+            entries[index][3],
+            entries[index][4],
+            node,
+            self._size + growth,
+            self._tree,
+        ))
+
+    def __eq__(self, other):
+        if isinstance(other, Trace):
+            other = tuple(other)
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == other
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class RunOutcome:
+    """What `run` returns; `trace` is the run's `Trace` when traced, else None."""
+
     verdict: Verdict
     halt_state: str
     steps_taken: int
     input_fully_consumed: bool
-    trace: tuple[StepRecord, ...] | None = None
+    trace: Trace | None = None
 
     @property
     def accepted(self) -> bool:
@@ -250,8 +334,10 @@ def _run(machine: Machine, word: Sequence[str], budget, trace: list | None, endm
 
     Returns the verdict, the configuration the run stopped in, the number
     of steps taken and the input position: the count of word symbols
-    consumed, plus one once the endmarker is.  Appends one StepRecord per
-    step to `trace` when it is a list, which must start empty.  Without
+    consumed, plus one once the endmarker is.  When `trace` is a pair of
+    empty lists, each step appends its program entry to the first and the
+    node the pointer stands on after it to the second: the columns a
+    `Trace` builds its records from, when they are read.  Without
     `endmarker` the run stops as soon as the word is consumed, before the
     endmarker or any λ move after the last symbol; the verdict is then
     REJECTED.
@@ -263,7 +349,7 @@ def _run(machine: Machine, word: Sequence[str], budget, trace: list | None, endm
     `Configuration.push`, which builds its violation or raises.  An
     untraced run frees each popped leaf's id for the next push to take,
     so its lists grow no longer than its largest tree; a traced run frees
-    none, so that each record's node stays the node it named.
+    none, so that each recorded node stays the node it named.
 
     A real-time machine makes one step per symbol, so its loop runs over
     the word and then END, cut to the steps the budget allows; its program
@@ -284,10 +370,11 @@ def _run(machine: Machine, word: Sequence[str], budget, trace: list | None, endm
         tree.labels, tree.parents, tree.lefts, tree.rights, tree.shapes, tree.free
     )
     links = (None, parents, lefts, rights)  # by opcode: up, down-l, down-r
-    # A pop frees its leaf's id for the next push, but not in a traced run,
-    # whose records must go on naming the nodes they named.
+    # A traced run appends each step's entry and the node after it to the
+    # two columns of `trace`.  A pop frees its leaf's id for the next push,
+    # but not in a traced run, whose nodes must go on naming the nodes they named.
+    entries, nodes = (None, None) if trace is None else trace
     freed = free if trace is None else []
-    record = tuple.__new__  # StepRecord(...) goes through a slower Python-level __new__
     verdict = Verdict.REJECTED
     if machine.real_time:
         feed = [*word, END] if endmarker else [*word]
@@ -344,7 +431,8 @@ def _run(machine: Machine, word: Sequence[str], budget, trace: list | None, endm
                 steps = allowed - 1 - length_hint(symbols)
                 return Verdict.WELL_FORMEDNESS_VIOLATION, config, steps, steps
             if trace is not None:
-                trace.append(record(StepRecord, (len(trace), state, sym, action, node, size, tree)))
+                entries.append(entry)
+                nodes.append(node)
             state, rows = target, next_rows
         else:
             steps = allowed
@@ -392,7 +480,8 @@ def _run(machine: Machine, word: Sequence[str], budget, trace: list | None, endm
         if consumed != LAMBDA:
             pos += 1
         if trace is not None:
-            trace.append(record(StepRecord, (steps, state, consumed, action, node, tree.size, tree)))
+            entries.append(entry)
+            nodes.append(node)
         steps += 1
         state, rows = target, next_rows
     config.state, config.node, config._rows = state, node, rows
@@ -412,13 +501,16 @@ def run(
     `budget` bounds the number of steps.  It defaults to |word|+1 for
     real-time machines, which is exact; machines that can make λ moves are
     not guaranteed to halt, so for them the budget must be given (math.inf
-    is accepted at the caller's own risk).
+    is accepted at the caller's own risk).  With `traced` the outcome's
+    `trace` is the run's `Trace`.
     """
-    trace: list[StepRecord] | None = [] if traced else None
-    verdict, config, steps, pos = _run(machine, word, budget, trace)
-    return RunOutcome(
-        verdict, config.state, steps, pos > len(word), tuple(trace) if traced else None
-    )
+    columns =([], []) if traced else None
+    verdict, config, steps, pos = _run(machine, word, budget, columns)
+    trace = None
+    if traced:
+        size = 1 if machine.initial_tree is None else machine.initial_tree.size
+        trace = Trace(machine.start, size, config.tree, *columns)
+    return RunOutcome(verdict, config.state, steps, pos > len(word), trace)
 
 
 def final_tree(machine: Machine, word: Sequence[str], budget=None) -> GammaTree:

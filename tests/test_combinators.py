@@ -198,6 +198,15 @@ def test_quotient_storage_keeps_no_freed_id():
         assert run(quotient, w).accepted is run(machine, prefix + w).accepted, w
 
 
+def test_left_quotient_names_the_machine_after_its_prefix():
+    assert left_quotient(build_expo(), "aaa").name == "expo-after-aaa"
+    assert left_quotient(build_expo(), ["a", "a", "a"]).name == "expo-after-a|a|a"
+    assert left_quotient(build_mi_hat(), "¢ab").name == "mi-hat-after-¢ab"
+    assert left_quotient(build_mi_hat(), ("¢", "a")).name == "mi-hat-after-¢|a"
+    assert left_quotient(build_expo(), "").name == left_quotient(build_expo(), []).name
+    assert left_quotient(build_expo(), []).name == "expo-after-λ"
+
+
 def test_left_quotient_dead_prefix_raises():
     with pytest.raises(PrefixKillsMachine):
         left_quotient(build_trie_p(), "$")

@@ -5,11 +5,11 @@ import dataclasses
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from test_machinefile import _actions, _states
-from test_reference_semantics import _busy_rows, naive_run
-from test_tree import steps
+from test_machinefile import _actions, _random_rows, _states
+from test_reference_semantics import _busy_rows, _lambda_rows, naive_run
+from test_tree import QUOTIENT_PREFIXES, steps
 from twsda.builders import BUILTINS, build_expo
-from twsda.combinators import complement, left_quotient
+from twsda.combinators import PrefixKillsMachine, complement, left_quotient
 from twsda.machine import (
     BAD_INITIAL_CONFIG,
     DETERMINISM_CONFLICT,
@@ -23,6 +23,7 @@ from twsda.machine import (
     _CLASH,
     _OPCODES,
     Machine,
+    _compile,
     SpecificityConflict,
     TransitionKey,
     TransitionRow,
@@ -294,6 +295,66 @@ def test_program_of_random_machines(rows, lambdas, data):
     except SpecificityConflict:
         assume(False)
     assert_program_follows_transitions(machine)
+
+
+def assert_program_is_compiled(machine: Machine) -> None:
+    """`machine._program` gives the entry a fresh `_compile(machine)` gives
+    for every state, symbol, label and shape the fresh program has, and
+    each entry's rows are its own program's part for the target."""
+    program, fresh = machine._program, _compile(machine)
+    for state, by_symbol in fresh.items():
+        for sym, by_label in by_symbol.items():
+            for label, row in by_label.items():
+                for shape, want in enumerate(row):
+                    got = program[state][sym][label][shape]
+                    where = (state, sym, label, shape)
+                    if want is None:
+                        assert got is None, where
+                        continue
+                    assert got[:5] == want[:5], where
+                    assert got[5] is program.get(got[0]), where
+                    assert want[5] is fresh.get(want[0]), where
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_a_quotient_takes_over_its_machines_program(name):
+    machine = BUILTINS[name]()
+    quotient = left_quotient(machine, QUOTIENT_PREFIXES[name])
+    again = None
+    for sym in sorted(machine.input_alphabet):  # a quotient of the quotient
+        try:
+            again = left_quotient(quotient, sym)
+            break
+        except PrefixKillsMachine:
+            continue
+    assert quotient._program is machine._program and again._program is machine._program
+    assert machine.initial_tree is None and quotient.initial_tree.size > 1
+    for m in (quotient, again):
+        assert_program_is_compiled(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["random", "busy", "λ"]), st.data(), st.text("ab¢⊳", max_size=8))
+def test_random_quotients_take_over_their_machines_program(kind, data, word):
+    """The quotient by the longest prefix of `word` that the machine
+    consumes, on real-time and λ machines."""
+    rows = {"random": _random_rows, "busy": _busy_rows, "λ": _lambda_rows}[kind]()
+    try:
+        machine = machine_from_rows(
+            "rand", ("a", "b", "¢", "⊳"), ("x", "y"), "q0", ["final"], data.draw(rows),
+            real_time=kind != "λ", non_erasing=False,
+        )
+    except SpecificityConflict:
+        assume(False)
+    budget = 30 if kind == "λ" else None
+    for end in range(len(word), -1, -1):
+        try:
+            quotient = left_quotient(machine, word[:end], budget)
+        except (PrefixKillsMachine, ValueError):
+            continue
+        break
+    assert quotient._program is machine._program
+    assert_program_is_compiled(quotient)
 
 
 def ghost_machine(start="q", target="ghost", real_time=True):

@@ -1,4 +1,5 @@
 """Step and run semantics: lookup order, acceptance, budgets, traces."""
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from test_machinefile import _actions, _states
+from test_machinefile import _actions, _random_rows, _states
 from test_reference_semantics import _busy_rows, _lambda_rows, naive_run
 from test_tree import QUOTIENT_PREFIXES
 from twsda import analysis
@@ -22,6 +23,7 @@ from twsda.simulate import (
     Configuration,
     DeterminismError,
     EndmarkerInInput,
+    StepRecord,
     Verdict,
     _prefix_dfs,
     final_tree,
@@ -518,6 +520,145 @@ def test_traced_runs_keep_at_most_one_node_per_step(rows, words):
             tree = out.trace[-1].tree
             tree.check_invariants()
             assert out.trace[-1].node_count_after == tree.size == len(tree.nodes())
+
+
+def eager_records(machine, word, budget=None) -> list:
+    """The records of a traced run, built eagerly, one per step, by stepping
+    a configuration: (index, state before, consumed, action, node, node
+    count, pointer path) after each step.  A configuration frees no id, as
+    a traced run frees none, so the two name the same nodes."""
+    config = Configuration(machine)
+    feed = [*word, END]
+    limit = len(feed) if budget is None else math.ceil(budget)
+    records: list = []
+    pos = 0
+    while len(records) < limit:
+        state = config.state
+        moved = config.push(feed[pos] if pos < len(feed) else None)
+        if moved is None:
+            break
+        consumed, action = moved
+        pos += consumed != LAMBDA
+        tree = config.tree
+        records.append(
+            (len(records), state, consumed, action, config.node, tree.size, tree.path(config.node))
+        )
+    return records
+
+
+def assert_trace_is_eager(machine, word, budget=None):
+    """`run`'s trace reads the records of `eager_records`, field for field,
+    in iteration, by index and by slice; the trace holds no record."""
+    out = run(machine, word, budget=budget, traced=True)
+    want = eager_records(machine, word, budget)
+    assert out.steps_taken == len(out.trace) == len(want)
+
+    def fields(rec):
+        return (
+            rec.step_index, rec.state_before, rec.consumed, rec.action,
+            rec.node_after, rec.node_count_after, rec.pointer_after,
+        )
+
+    assert [fields(rec) for rec in out.trace] == want
+    assert [fields(out.trace[i]) for i in range(len(want))] == want
+    assert [fields(rec) for rec in out.trace[1::3]] == want[1::3]
+    assert len({id(rec.tree) for rec in out.trace}) <= 1  # the run's own tree
+    return out
+
+
+def _trace_cases():
+    aborting = mk([row("q0", "a", "q1", push("x", "l")), row("q1", "a", "q1", DOWN_R, anc="l")])
+    lam_aborting = mk(
+        [row("q0", LAMBDA, "q1", push("x", "l")), row("q1", LAMBDA, "q0", UP, anc="l"),
+         row("q0", LAMBDA, "q2", anc="-", hl="+"), row("q2", LAMBDA, "q2", UP)],
+        real_time=False,
+    )
+    cases = []
+    for name in sorted(BUILTINS):
+        machine, prefix = BUILTINS[name](), QUOTIENT_PREFIXES[name]
+        cases.append(pytest.param(machine, prefix, None, id=name))
+        cases.append(pytest.param(left_quotient(machine, prefix), prefix, None, id=f"{name}-quotient"))
+    cases += [
+        pytest.param(build_expo(), "a" * 64, 40, id="expo-budget-exhausted"),
+        pytest.param(PUSH_POP, "", 81, id="push-pop"),
+        pytest.param(BOTH_SIDES, "", 2.5, id="both-sides-float-budget"),
+        pytest.param(BOTH_SIDES, "", 80, id="both-sides"),
+        pytest.param(aborting, "aa", None, id="aborted"),
+        pytest.param(lam_aborting, "", 10, id="aborted-in-lambda-moves"),
+        pytest.param(mk([]), "", None, id="no-step"),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("machine, word, budget", _trace_cases())
+def test_trace_builds_the_records_an_eager_loop_builds(machine, word, budget):
+    out = assert_trace_is_eager(machine, word, budget)
+    if machine.initial_tree is not None:
+        assert machine.initial_tree.size > 1  # counts start above one node
+    if budget is not None and budget < 20:
+        assert out.verdict is not Verdict.ACCEPTED
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["random", "busy", "λ"]), st.data(),
+    st.lists(st.text("ab¢⊳", max_size=12), min_size=1, max_size=4),
+)
+def test_traces_of_random_machines_build_the_eager_records(kind, data, words):
+    rows = {"random": _random_rows, "busy": _busy_rows, "λ": _lambda_rows}[kind]()
+    try:
+        machine = machine_from_rows(
+            "rand", ("a", "b", "¢", "⊳"), ("x", "y"), "q0", ["final"], data.draw(rows),
+            real_time=kind != "λ", non_erasing=False,
+        )
+    except SpecificityConflict:
+        assume(False)
+    for word in words:
+        assert_trace_is_eager(machine, word, 20 if kind == "λ" else None)
+
+
+def test_trace_is_a_read_only_sequence_of_records():
+    machine = left_quotient(build_mi_hat(), QUOTIENT_PREFIXES["mi-hat"])
+    word = "ba" * 20 + "▶"
+    out = run(machine, word, traced=True)
+    trace = out.trace
+    records = tuple(trace)
+    assert out.accepted and len(trace) == len(records) == len(word) + 1
+    assert tuple(trace) == records  # iterating twice reads the same records
+    assert all(type(rec) is StepRecord for rec in records)
+    assert trace[-1] == records[-1] and trace[-len(trace)] == records[0]
+    assert trace[-1].node_count_after == final_tree(machine, word).size == 1  # all 40 popped
+    assert trace[0].node_count_after == machine.initial_tree.size - 1 == 40
+    for part in (slice(None), slice(3, 9), slice(-5, None), slice(None, None, -2),
+                 slice(30, 2, -7), slice(9, 3), slice(100, 200), slice(0, 0)):
+        assert trace[part] == records[part], part
+    for index in (len(trace), -len(trace) - 1):
+        with pytest.raises(IndexError):
+            trace[index]
+    assert trace == records and records == trace and trace != records[:-1]
+    assert trace != list(records) and trace == trace and hash(trace) == hash(records)
+    again = run(machine, word, traced=True)
+    assert again.trace != trace  # records compare their trees by identity
+    assert hash(out) == hash(out) and out == out and out != again
+    assert {out: 1}[out] == 1
+    assert run(machine, word) == dataclasses.replace(out, trace=None)
+
+
+def test_traced_run_holds_few_bytes_per_step():
+    """A traced run keeps each step's program entry and node, and builds no
+    record until one is read: on `expo` at 2^14 it holds about 33 bytes per
+    step (its columns, the new nodes' ids and the grown tree), where records
+    built in the loop held about 164."""
+    machine, word = build_expo(), "a" * 2**14
+    run(machine, word, traced=True)  # compiles the program outside the count
+    tracemalloc.start()
+    try:
+        out = run(machine, word, traced=True)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.accepted and out.steps_taken == len(word) + 1
+    assert held / out.steps_taken < 64
 
 
 def store(config: Configuration) -> tuple:
