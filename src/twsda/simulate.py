@@ -101,7 +101,7 @@ class StepRecord(NamedTuple):
 # Node-count change by opcode, `_OP_STAY` to `_OP_POP`: a push adds a node,
 # a pop takes one away.
 _GROWTH = (0,) * _OP_PUSH + (1, -1)
-_TARGET, _CONSUMED, _ACTION, _OP = itemgetter(0), itemgetter(3), itemgetter(4), itemgetter(1)
+_TARGET, _OP, _CONSUMED, _ACTION = itemgetter(0), itemgetter(1), itemgetter(3), itemgetter(4)
 
 
 class Trace:
@@ -115,10 +115,11 @@ class Trace:
     size plus one per push and less one per pop in entries 0..i.
 
     Records are not kept, so each read builds them anew.  Iteration streams
-    them in order, about as dear per step as the traced run itself;
-    `trace[i]` adds up entries 0..i, and a slice builds the records up to
-    its end.  A trace equals the tuple of its records, or another trace
-    with equal records, and hashes as that tuple.
+    them in order; reading them all costs one to two untraced runs more
+    than the traced run, which costs little more than an untraced one.
+    `trace[i]` adds up entries 0..i, and a slice builds every record.  A
+    trace equals the tuple of its records, or another trace with equal
+    records, and hashes as that tuple.
     """
 
     __slots__ = ("_start", "_size", "_tree", "_entries", "_nodes")
@@ -144,23 +145,23 @@ class Trace:
             repeat(self._tree),
         ))  # StepRecord(...) goes through a slower Python-level __new__
 
+    def __reversed__(self) -> Iterator[StepRecord]:
+        return reversed(tuple(self))  # by index, each read is O(i)
+
     def __getitem__(self, index):
         if isinstance(index, slice):
-            picked = range(len(self._nodes))[index]
-            if not picked:
-                return ()
-            low = min(picked)
-            return tuple(islice(self, low, max(picked) + 1))[picked[0] - low::picked.step]
+            return tuple(self)[index]
         node = self._nodes[index]  # raises IndexError past either end
         if index < 0:
             index += len(self._nodes)
         entries = self._entries
+        entry = entries[index]
         growth = sum(map(_GROWTH.__getitem__, map(_OP, islice(entries, index + 1))))
         return tuple.__new__(StepRecord, (
             index,
             entries[index - 1][0] if index else self._start,
-            entries[index][3],
-            entries[index][4],
+            entry[3],
+            entry[4],
             node,
             self._size + growth,
             self._tree,
@@ -329,7 +330,9 @@ def _step_budget(machine: Machine, budget, default):
     return default if budget is None else budget
 
 
-def _run(machine: Machine, word: Sequence[str], budget, trace: list | None, endmarker=True):
+def _run(
+    machine: Machine, word: Sequence[str], budget, trace: tuple[list, list] | None, endmarker=True
+):
     """The run loop behind `run`, `final_tree` and `left_quotient`.
 
     Returns the verdict, the configuration the run stopped in, the number

@@ -548,7 +548,7 @@ def eager_records(machine, word, budget=None) -> list:
 
 def assert_trace_is_eager(machine, word, budget=None):
     """`run`'s trace reads the records of `eager_records`, field for field,
-    in iteration, by index and by slice; the trace holds no record."""
+    in iteration, by index and by slice."""
     out = run(machine, word, budget=budget, traced=True)
     want = eager_records(machine, word, budget)
     assert out.steps_taken == len(out.trace) == len(want)
@@ -573,30 +573,29 @@ def _trace_cases():
          row("q0", LAMBDA, "q2", anc="-", hl="+"), row("q2", LAMBDA, "q2", UP)],
         real_time=False,
     )
+    exhausted, aborted = Verdict.BUDGET_EXHAUSTED, Verdict.WELL_FORMEDNESS_VIOLATION
     cases = []
     for name in sorted(BUILTINS):
         machine, prefix = BUILTINS[name](), QUOTIENT_PREFIXES[name]
-        cases.append(pytest.param(machine, prefix, None, id=name))
-        cases.append(pytest.param(left_quotient(machine, prefix), prefix, None, id=f"{name}-quotient"))
+        quotient = left_quotient(machine, prefix)  # its tree has more than one node
+        cases.append(pytest.param(machine, prefix, None, None, id=name))
+        cases.append(pytest.param(quotient, prefix, None, None, id=f"{name}-quotient"))
     cases += [
-        pytest.param(build_expo(), "a" * 64, 40, id="expo-budget-exhausted"),
-        pytest.param(PUSH_POP, "", 81, id="push-pop"),
-        pytest.param(BOTH_SIDES, "", 2.5, id="both-sides-float-budget"),
-        pytest.param(BOTH_SIDES, "", 80, id="both-sides"),
-        pytest.param(aborting, "aa", None, id="aborted"),
-        pytest.param(lam_aborting, "", 10, id="aborted-in-lambda-moves"),
-        pytest.param(mk([]), "", None, id="no-step"),
+        pytest.param(build_expo(), "a" * 64, 40, exhausted, id="expo-budget-exhausted"),
+        pytest.param(PUSH_POP, "", 81, exhausted, id="push-pop"),
+        pytest.param(BOTH_SIDES, "", 2.5, exhausted, id="both-sides-float-budget"),
+        pytest.param(BOTH_SIDES, "", 80, exhausted, id="both-sides"),
+        pytest.param(aborting, "aa", None, aborted, id="aborted"),
+        pytest.param(lam_aborting, "", 10, aborted, id="aborted-in-lambda-moves"),
+        pytest.param(mk([]), "", None, Verdict.REJECTED, id="no-step"),
     ]
     return cases
 
 
-@pytest.mark.parametrize("machine, word, budget", _trace_cases())
-def test_trace_builds_the_records_an_eager_loop_builds(machine, word, budget):
+@pytest.mark.parametrize("machine, word, budget, verdict", _trace_cases())
+def test_trace_builds_the_records_an_eager_loop_builds(machine, word, budget, verdict):
     out = assert_trace_is_eager(machine, word, budget)
-    if machine.initial_tree is not None:
-        assert machine.initial_tree.size > 1  # counts start above one node
-    if budget is not None and budget < 20:
-        assert out.verdict is not Verdict.ACCEPTED
+    assert verdict is None or out.verdict is verdict
 
 
 @settings(max_examples=60, deadline=None)
@@ -625,6 +624,7 @@ def test_trace_is_a_read_only_sequence_of_records():
     records = tuple(trace)
     assert out.accepted and len(trace) == len(records) == len(word) + 1
     assert tuple(trace) == records  # iterating twice reads the same records
+    assert tuple(reversed(trace)) == records[::-1]
     assert all(type(rec) is StepRecord for rec in records)
     assert trace[-1] == records[-1] and trace[-len(trace)] == records[0]
     assert trace[-1].node_count_after == final_tree(machine, word).size == 1  # all 40 popped
